@@ -15,6 +15,18 @@ Cost accounting: step 1 processes 1 token per request (the roots), steps
 2..d process ``w`` tokens per request, all batched across requests.  The
 returned :class:`SpeculationResult` carries these per-step token counts so
 the scheduler can price the phase with the draft roofline + CUDA graphs.
+
+Two implementations build the same trees node for node:
+
+- the **array path** (:func:`speculate_batch` when numpy is available)
+  advances every request's beam one level at a time as numpy arrays,
+  reading draft rows from :func:`repro.model.batchgen.draft_rows`; it
+  creates tree nodes only for survivors and never touches the
+  distribution memos;
+- the **oracle** (:func:`build_candidate_tree`) expands one request with
+  memoized scalar ``DraftLM.distribution`` calls.  Without numpy,
+  :func:`speculate_batch` loops over it; ``tests/test_speculation.py``
+  compares the two.
 """
 
 from __future__ import annotations
@@ -23,6 +35,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from repro.core.tree import TokenTree, TreeNode
+from repro.model import batchgen
 from repro.model.pair import ModelPair
 from repro.model.stochastic_lm import PREFETCH_MIN_BATCH
 
@@ -86,6 +99,10 @@ def build_candidate_tree(
 ) -> TokenTree:
     """Beam-search a candidate tree for a single request.
 
+    The scalar reference: one memoized ``DraftLM.distribution`` per
+    frontier node.  :func:`speculate_batch`'s array path must build
+    node-for-node identical trees.
+
     Parameters
     ----------
     pair:
@@ -103,47 +120,82 @@ def build_candidate_tree(
     frontier: list[TreeNode] = [tree.root]
     draft_distribution = pair.draft.distribution
     extend = pair.extend
+    add_child = tree.add_child
     for _ in range(depth):
-        frontier = _advance_level(
-            tree, frontier, draft_distribution, extend, width, center
-        )
-        if not frontier:
-            break
+        candidates: list[tuple[float, TreeNode, int, float]] = []
+        append = candidates.append
+        for node in frontier:
+            dist = draft_distribution(node.ctx_hash, center)
+            path_prob = node.path_prob
+            for token_id, prob in zip(dist.token_ids[:width], dist.probs[:width]):
+                append((path_prob * prob, node, token_id, prob))
+        candidates.sort(key=_BY_PATH_PROB, reverse=True)
+        frontier = [
+            add_child(parent, token_id, extend(parent.ctx_hash, token_id), prob)
+            for _path_prob, parent, token_id, prob in candidates[:width]
+        ]
     return tree
 
 
-def _advance_level(
-    tree: TokenTree,
-    frontier: list[TreeNode],
-    draft_distribution,
-    extend,
+def _speculate_arrays(
+    pair: ModelPair,
+    roots: list[tuple[int, int]],
+    depth: int,
     width: int,
-    center: float | None,
-) -> list[TreeNode]:
-    """Expand one beam level; returns the new frontier.
+    centers: list[float | None],
+) -> list[TokenTree]:
+    """Beam-search every request's tree level-synchronously in numpy.
 
-    Hot loop: reads the draft distribution's (already sorted) tuples
-    directly instead of materializing per-node (token, prob) pair lists.
-    Shared by the per-request builder above and the level-synchronous
-    batch builder below, so both construct identical trees.
+    Every request's frontier has the same size ``f`` at a given level
+    (1, then ``min(w, f * min(w, k))``), so the whole batch's frontier
+    is an ``(n, f)`` array of contexts and path probabilities.  One
+    level: draft rows for all ``n * f`` contexts (``batchgen.draft_rows``,
+    no memo), the ``n x (f * m)`` candidate path probabilities in
+    ``build_candidate_tree``'s (node, rank) order, then the top ``w``
+    per request by a stable sort of the negated values — the tie order
+    of ``list.sort(reverse=True)``.  Nodes are created only for the
+    survivors.
     """
-    candidates: list[tuple[float, TreeNode, int, float]] = []
-    append = candidates.append
-    for node in frontier:
-        dist = draft_distribution(node.ctx_hash, center)
-        path_prob = node.path_prob
-        for token_id, prob in zip(dist.token_ids[:width], dist.probs[:width]):
-            append((path_prob * prob, node, token_id, prob))
-    if not candidates:
-        return []
-    candidates.sort(key=_BY_PATH_PROB, reverse=True)
-    add_child = tree.add_child
-    new_frontier: list[TreeNode] = []
-    for _path_prob, parent, token_id, prob in candidates[:width]:
-        new_frontier.append(
-            add_child(parent, token_id, extend(parent.ctx_hash, token_id), prob)
-        )
-    return new_frontier
+    np = batchgen._np
+    trees = [TokenTree(tok, ctx) for tok, ctx in roots]
+    n = len(roots)
+    if depth == 0 or n == 0:
+        return trees
+    m = min(width, pair.target.branching)
+    default = pair.target.predictability
+    eff = np.array([default if c is None else c for c in centers], dtype=np.float64)
+    ctx = np.array([c for _, c in roots], dtype=np.uint64)[:, None]
+    path = np.ones((n, 1), dtype=np.float64)
+    frontiers = [[t.root] for t in trees]
+    for _ in range(depth):
+        f = ctx.shape[1]
+        ids, probs = batchgen.draft_rows(pair.draft, ctx.ravel(), np.repeat(eff, f))
+        # Column j * m + r of request i: rank-r continuation of node j.
+        cand = (path[:, :, None] * probs.reshape(n, f, -1)[:, :, :m]).reshape(n, f * m)
+        keep = np.argsort(-cand, axis=1, kind="stable")[:, :width]
+        parent_col = keep // m
+        rank = keep - parent_col * m
+        row = parent_col + np.arange(0, n * f, f)[:, None]  # parent's draft row
+        draft_prob = probs[row, rank]
+        in_range = (draft_prob >= 0.0) & (draft_prob <= 1.0)
+        if not in_range.all():
+            raise ValueError(f"draft_prob out of range: {draft_prob[~in_range][0]}")
+        tokens = ids[row, rank]
+        path = path.ravel()[row] * draft_prob
+        ctx = batchgen.extend_rows(ctx.ravel()[row], tokens)
+        frontiers = [
+            tree.add_level([frontier[c] for c in cols], toks, hashes, dps, pps)
+            for tree, frontier, cols, toks, hashes, dps, pps in zip(
+                trees,
+                frontiers,
+                parent_col.tolist(),
+                tokens.tolist(),
+                ctx.tolist(),
+                draft_prob.tolist(),
+                path.tolist(),
+            )
+        ]
+    return trees
 
 
 def speculate_batch(
@@ -177,31 +229,13 @@ def speculate_batch(
         raise ValueError("centers length must match roots")
     if depth < 0 or width < 1:
         raise ValueError(f"invalid beam shape: depth={depth}, width={width}")
-    # Level-synchronous construction: all trees advance one beam level at
-    # a time so the whole batch's pending draft queries can be generated
-    # in one vectorized pass (``DraftLM.prefetch``).  Each tree's own
-    # expansion logic is byte-identical to ``build_candidate_tree`` (they
-    # share ``_advance_level``); only the order in which the shared memo
-    # is populated differs, which is unobservable.
-    trees = [TokenTree(tok, ctx) for tok, ctx in roots]
-    draft = pair.draft
-    draft_distribution = draft.distribution
-    extend = pair.extend
-    frontiers = [[t.root] for t in trees]
-    for _ in range(depth):
-        if n * width >= PREFETCH_MIN_BATCH:
-            pending = [
-                (node.ctx_hash, centers[i])
-                for i in range(n)
-                for node in frontiers[i]
-            ]
-            if len(pending) >= PREFETCH_MIN_BATCH:
-                draft.prefetch(pending)
-        for i in range(n):
-            if frontiers[i]:
-                frontiers[i] = _advance_level(
-                    trees[i], frontiers[i], draft_distribution, extend, width, centers[i]
-                )
+    if batchgen.AVAILABLE:
+        trees = _speculate_arrays(pair, roots, depth, width, centers)
+    else:
+        trees = [
+            build_candidate_tree(pair, tok, ctx, depth, width, center)
+            for (tok, ctx), center in zip(roots, centers)
+        ]
     if depth == 0 or n == 0:
         step_tokens: tuple[int, ...] = ()
     else:

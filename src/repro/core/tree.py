@@ -110,6 +110,31 @@ class TokenTree:
         self._nodes.append(node)
         return node
 
+    def add_level(
+        self,
+        parents: list[TreeNode],
+        token_ids: list[int],
+        ctx_hashes: list[int],
+        draft_probs: list[float],
+        path_probs: list[float],
+    ) -> list[TreeNode]:
+        """Append one beam level in bulk: child ``j`` goes under ``parents[j]``.
+
+        The array speculation path's :meth:`add_child`: the caller has
+        already checked every ``draft_probs`` entry is in [0, 1] and
+        computed ``path_probs[j] = parents[j].path_prob * draft_probs[j]``
+        for the whole batch at once.
+        """
+        level: list[TreeNode] = []
+        for parent, token_id, ctx_hash, draft_prob, path_prob in zip(
+            parents, token_ids, ctx_hashes, draft_probs, path_probs
+        ):
+            node = TreeNode(token_id, ctx_hash, draft_prob, path_prob, parent.depth + 1, parent)
+            parent.children.append(node)
+            level.append(node)
+        self._nodes.extend(level)
+        return level
+
     # -- inspection -------------------------------------------------------
     def nodes(self, include_root: bool = True) -> Iterator[TreeNode]:
         """All nodes in insertion order."""

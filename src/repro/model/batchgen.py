@@ -18,11 +18,24 @@ onto a scalar statement of the reference implementation:
   (multiply, divide, add in the same order) as the scalar path;
 - running sums use ``cumsum`` (sequential, left-associated by
   definition), never ``np.sum`` (whose pairwise summation would differ);
+  the scalar side accumulates left to right by hand, because ``sum()``
+  over floats is compensated from Python 3.12 on;
 - descending stable ``argsort`` of the negated probabilities matches
   ``sorted(..., reverse=True)`` tie-breaking.
 
-The golden-equivalence suite (tests/test_golden_equivalence.py) and
-``tests/test_batchgen.py`` pin this.  ``numpy`` is optional: when it is
+Two kinds of entry point share those kernels:
+
+- :func:`draft_rows` returns draft rows as arrays, creating no
+  ``TokenDistribution`` and writing no memo.  Beam speculation
+  (:func:`repro.core.speculation.speculate_batch`) is its array path.
+- :func:`prefetch_target` / :func:`prefetch_draft` warm the memos for
+  callers that then query scalar-style (decode sampling; the chain
+  drafters' ``draft_chains``).
+
+The scalar methods (``StochasticLM.distribution``,
+``DraftLM.distribution``) are the reference oracle.  The golden-equivalence
+suite (tests/test_golden_equivalence.py), ``tests/test_batchgen.py`` and
+``tests/test_speculation.py`` pin this.  ``numpy`` is optional: when it is
 unavailable the ``prefetch`` entry points are no-ops and callers fall
 back to on-demand scalar generation.
 """
@@ -199,6 +212,77 @@ def _select_missing(cache, keys_list):
     return [i for i, key in enumerate(keys_list) if key not in cache]
 
 
+def _target_rows(lm, C, centers):
+    """Exact target rows ``(P, ids_mat)`` for contexts ``C``.
+
+    ``_generate_rows`` plus the scalar skip-duplicates repair of every
+    row whose fast-path token draws collided.
+    """
+    P, ids_mat, dup = _generate_rows(lm, C, centers)
+    if dup.any():
+        for row in _np.nonzero(dup)[0]:
+            ids_mat[row] = lm._draw_token_ids(int(C[row]))
+    return P, ids_mat
+
+
+def _mix_draft(P, ids_mat, C, a):
+    """Draft rows from target rows: ``DraftLM.distribution``'s ``a < 1`` branch.
+
+    Mixes each target row with its context's noise stream, renormalizes
+    and re-sorts descending (stable), returning ``(ids, probs)``.
+    """
+    N = _noise_rows(C, P.shape[1])
+    noise_total = N.cumsum(axis=1)[:, -1]
+    mixed = a * P + (1.0 - a) * (N / noise_total[:, None])
+    total = mixed.cumsum(axis=1)[:, -1]
+    norm = mixed / total[:, None]
+    order = _np.argsort(-norm, axis=1, kind="stable")
+    rows = _np.arange(order.shape[0])[:, None]
+    return ids_mat[rows, order], norm[rows, order]
+
+
+def draft_rows(draft, C, centers):
+    """Draft next-token rows for contexts ``C`` (no memo, no objects).
+
+    ``centers`` is the per-context effective predictability (float64).
+    Returns ``(ids, probs)`` as ``(len(C), branching)`` uint64/float64
+    arrays, row ``r`` bit-identical to
+    ``draft.distribution(C[r], center)``'s ``(token_ids, probs)``.  At
+    ``alignment >= 1`` the draft row is the target row, unsorted.
+    """
+    P, ids_mat = _target_rows(draft.target, C, centers)
+    if draft.alignment >= 1.0:
+        return ids_mat, P
+    return _mix_draft(P, ids_mat, C, draft.alignment)
+
+
+def extend_rows(C, tokens):
+    """Vector ``StochasticLM.extend``: child context hashes, elementwise."""
+    with _np.errstate(over="ignore"):
+        return _splitmix(C ^ (tokens * _U64(_COMBINE)))
+
+
+def _memoize(cache, cap, keys, ids_rows, probs_rows) -> list:
+    """Store rows as ``TokenDistribution``s under ``keys``.
+
+    Returns each key's memo entry; an entry already present (a duplicate
+    ctx within the batch, or an earlier query) is kept, not replaced.
+    """
+    new = TokenDistribution.__new__
+    dists = []
+    for key, ids, probs in zip(keys, ids_rows, probs_rows):
+        dist = cache.get(key)
+        if dist is None:
+            if len(cache) >= cap:
+                cache.clear()
+            dist = new(TokenDistribution)
+            dist.token_ids = tuple(ids)
+            dist.probs = tuple(probs)
+            cache[key] = dist
+        dists.append(dist)
+    return dists
+
+
 def prefetch_target(lm, items) -> None:
     """Warm ``lm``'s memo for many ``(ctx, center)`` queries (exact)."""
     if _np is None or len(items) < MIN_BATCH:
@@ -209,94 +293,44 @@ def prefetch_target(lm, items) -> None:
     missing = _select_missing(cache, keys_list)
     if len(missing) < MIN_BATCH:
         return
-    idx = _np.array(missing, dtype=_np.intp)
     sub_items = [items[i] for i in missing]
-    P, ids_mat, dup = _generate_rows(lm, C[idx], _effective_centers(lm, sub_items))
-    if dup.any():
-        for row in _np.nonzero(dup)[0]:
-            ids_mat[row] = lm._draw_token_ids(sub_items[int(row)][0])
-    ids_rows = ids_mat.tolist()
-    probs_rows = P.tolist()
-    cap = lm._cache_cap
-    new = TokenDistribution.__new__
-    for j, i in enumerate(missing):
-        key = keys_list[i]
-        if key in cache:
-            continue  # duplicate ctx within the batch
-        if len(cache) >= cap:
-            cache.clear()
-        dist = new(TokenDistribution)
-        dist.token_ids = tuple(ids_rows[j])
-        dist.probs = tuple(probs_rows[j])
-        cache[key] = dist
+    P, ids_mat = _target_rows(
+        lm, C[_np.array(missing, dtype=_np.intp)], _effective_centers(lm, sub_items)
+    )
+    _memoize(
+        cache, lm._cache_cap, [keys_list[i] for i in missing], ids_mat.tolist(), P.tolist()
+    )
 
 
 def prefetch_draft(draft, items) -> None:
-    """Warm the draft's (and target's) memos for many queries (exact)."""
+    """Warm the draft's (and target's) memos for many queries (exact).
+
+    Used by the chain drafters (``repro.core.speculation.draft_chains``);
+    beam speculation reads :func:`draft_rows` directly instead.
+    """
     if _np is None or len(items) < MIN_BATCH:
         return
     lm = draft.target
-    a = draft.alignment
-    k = lm.branching
-    dcache = draft._cache
-    dcap = draft._cache_cap
-    tcache = lm._cache
-    tcap = lm._cache_cap
     C = _np.array([ctx for ctx, _ in items], dtype=_np.uint64)
     keys_list = _keys(C, items).tolist()
-    missing = _select_missing(dcache, keys_list)
+    missing = _select_missing(draft._cache, keys_list)
     if len(missing) < MIN_BATCH:
         return
-    idx = _np.array(missing, dtype=_np.intp)
-    sub = C[idx]
+    sub = C[_np.array(missing, dtype=_np.intp)]
     sub_items = [items[i] for i in missing]
-    P, ids_mat, dup = _generate_rows(lm, sub, _effective_centers(lm, sub_items))
-    if dup.any():
-        for row in _np.nonzero(dup)[0]:
-            ids_mat[row] = lm._draw_token_ids(sub_items[int(row)][0])
-    tgt_ids_rows = ids_mat.tolist()
-    tgt_probs_rows = P.tolist()
-    # Materialize (and memoize) the target rows too: verification samples
-    # the target at exactly these contexts later.
-    new = TokenDistribution.__new__
-    tgt_dists = []
-    for j, i in enumerate(missing):
-        key = keys_list[i]
-        dist = tcache.get(key)
-        if dist is None:
-            if len(tcache) >= tcap:
-                tcache.clear()
-            dist = new(TokenDistribution)
-            dist.token_ids = tuple(tgt_ids_rows[j])
-            dist.probs = tuple(tgt_probs_rows[j])
-            tcache[key] = dist
-        tgt_dists.append(dist)
-    if a >= 1.0:
-        for j, i in enumerate(missing):
-            key = keys_list[i]
+    keys = [keys_list[i] for i in missing]
+    P, ids_mat = _target_rows(lm, sub, _effective_centers(lm, sub_items))
+    # Memoize the target rows too: verification samples the target at
+    # exactly these contexts later.
+    tgt_dists = _memoize(lm._cache, lm._cache_cap, keys, ids_mat.tolist(), P.tolist())
+    dcache = draft._cache
+    if draft.alignment >= 1.0:
+        # The draft row *is* the target row: share the target's objects.
+        for key, dist in zip(keys, tgt_dists):
             if key not in dcache:
-                if len(dcache) >= dcap:
+                if len(dcache) >= draft._cache_cap:
                     dcache.clear()
-                dcache[key] = tgt_dists[j]
+                dcache[key] = dist
         return
-    with _np.errstate(over="ignore"):
-        N = _noise_rows(sub, k)
-        noise_total = N.cumsum(axis=1)[:, -1]
-        mixed = a * P + (1.0 - a) * (N / noise_total[:, None])
-        total = mixed.cumsum(axis=1)[:, -1]
-        norm = mixed / total[:, None]
-        order = _np.argsort(-norm, axis=1, kind="stable")
-        ids_sorted = _np.take_along_axis(ids_mat, order, axis=1)
-        probs_sorted = _np.take_along_axis(norm, order, axis=1)
-    ids_rows = ids_sorted.tolist()
-    probs_rows = probs_sorted.tolist()
-    for j, i in enumerate(missing):
-        key = keys_list[i]
-        if key in dcache:
-            continue
-        if len(dcache) >= dcap:
-            dcache.clear()
-        dist = new(TokenDistribution)
-        dist.token_ids = tuple(ids_rows[j])
-        dist.probs = tuple(probs_rows[j])
-        dcache[key] = dist
+    ids, probs = _mix_draft(P, ids_mat, sub, draft.alignment)
+    _memoize(dcache, draft._cache_cap, keys, ids.tolist(), probs.tolist())

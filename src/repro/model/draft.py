@@ -140,21 +140,27 @@ class DraftLM:
             x = ((x ^ (x >> 30)) * _MIX1) & MASK64
             x = ((x ^ (x >> 27)) * _MIX2) & MASK64
             x ^= x >> 31
+            # Totals accumulate strictly left to right, like batchgen's
+            # cumsum: sum() over floats is compensated since Python 3.12.
             noise = []
             append = noise.append
+            noise_total = 0.0
             for _ in range(k):
                 x = (x + _GOLDEN) & MASK64
                 y = ((x ^ (x >> 30)) * _MIX1) & MASK64
                 y = ((y ^ (y >> 27)) * _MIX2) & MASK64
                 y ^= y >> 31
-                append((y >> 11) * _INV_2_53)
-            noise_total = sum(noise)
+                u = (y >> 11) * _INV_2_53
+                append(u)
+                noise_total += u
             inv_a = 1.0 - a
             mixed = [
                 a * p + inv_a * (n / noise_total)
                 for p, n in zip(tgt.probs, noise)
             ]
-            total = sum(mixed)
+            total = 0.0
+            for m in mixed:
+                total += m
             pairs = sorted(
                 zip(tgt.token_ids, [m / total for m in mixed]),
                 key=_BY_PROB,

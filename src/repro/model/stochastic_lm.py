@@ -191,7 +191,9 @@ class StochasticLM:
         self._n_regular = vocab.num_regular  # property hoisted off the hot path
         # Geometric weights for the non-top slots, precomputed and normalized.
         weights = [decay**i for i in range(branching - 1)]
-        total = sum(weights)
+        total = 0.0
+        for w in weights:  # left to right: sum() is compensated since 3.12
+            total += w
         self._tail_weights = [w / total for w in weights]
         # ctx -> distribution is a pure function of these parameters
         # (not the seed), so the memo is shared across instances.

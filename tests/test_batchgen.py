@@ -99,6 +99,52 @@ class TestDuplicateRepair:
             assert len(set(v.token_ids)) == len(v.token_ids)
 
 
+class TestDraftRows:
+    """``draft_rows`` (beam speculation's kernel) against the scalar draft."""
+
+    @pytest.mark.parametrize(
+        ("vocab", "alignment"), [(32_000, 0.85), (40, 0.9), (32_000, 1.0)]
+    )
+    def test_rows_match_scalar(self, vocab, alignment):
+        import numpy as np
+
+        pair = ModelPair.build(vocab_size=vocab, seed=8, alignment=alignment)
+        ctxs = _ctxs(pair.target, 37, 48)
+        centers = [None, 0.62, 0.80]
+        items = [(c, centers[i % 3]) for i, c in enumerate(ctxs)]
+        eff = [pair.target.predictability if c is None else c for _, c in items]
+        ids, probs = batchgen.draft_rows(
+            pair.draft, np.array(ctxs, dtype=np.uint64), np.array(eff)
+        )
+        for (c, center), row_ids, row_probs in zip(items, ids.tolist(), probs.tolist()):
+            ref = pair.draft.distribution(c, center)
+            assert tuple(row_ids) == ref.token_ids
+            assert tuple(row_probs) == ref.probs
+
+    def test_extend_rows_matches_scalar(self):
+        import numpy as np
+
+        pair = ModelPair.build(seed=9)
+        ctxs = _ctxs(pair.target, 41, 20)
+        toks = list(range(0, 20_000, 1000))
+        out = batchgen.extend_rows(
+            np.array(ctxs, dtype=np.uint64), np.array(toks, dtype=np.uint64)
+        )
+        assert out.tolist() == [pair.extend(c, t) for c, t in zip(ctxs, toks)]
+
+
+class TestSequentialTotals:
+    def test_tail_weights_normalized_left_to_right(self):
+        # Pinned against sum(), which is compensated since Python 3.12 and
+        # would disagree with the vector path's sequential cumsum.
+        lm = StochasticLM(Vocabulary(1000), seed=0)
+        weights = [lm.decay**i for i in range(lm.branching - 1)]
+        total = 0.0
+        for w in weights:
+            total += w
+        assert lm._tail_weights == [w / total for w in weights]
+
+
 class TestTokenDistribution:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,21 @@ import pytest
 
 from repro.core.optimal import construct_optimal_trees
 from repro.core.speculation import build_candidate_tree, speculate_batch
+from repro.model import batchgen
+from repro.model.pair import ModelPair
+
+needs_numpy = pytest.mark.skipif(
+    not batchgen.AVAILABLE, reason="numpy unavailable; speculate_batch is the scalar loop"
+)
+
+
+def _node_table(tree):
+    """(token, ctx_hash, draft_prob, path_prob, depth, parent index) per node."""
+    index = {id(node): i for i, node in enumerate(tree.nodes())}
+    return [
+        (n.token_id, n.ctx_hash, n.draft_prob, n.path_prob, n.depth, index.get(id(n.parent)))
+        for n in tree.nodes()
+    ]
 
 
 class TestBeamShape:
@@ -91,6 +106,71 @@ class TestBatch:
         hi_top = max(n.path_prob for n in hi.nodes(include_root=False))
         lo_top = max(n.path_prob for n in lo.nodes(include_root=False))
         assert hi_top > lo_top
+
+
+@needs_numpy
+class TestArrayPathEquivalence:
+    """The array ``speculate_batch`` builds ``build_candidate_tree``'s trees."""
+
+    @staticmethod
+    def _assert_matches_oracle(pair, roots, depth, width, centers):
+        result = speculate_batch(pair, roots, depth, width, centers=centers)
+        assert len(result.trees) == len(roots)
+        for (tok, ctx), center, tree in zip(roots, centers, result.trees):
+            oracle = build_candidate_tree(pair, tok, ctx, depth, width, center)
+            assert _node_table(tree) == _node_table(oracle)
+
+    def test_toy_preset_with_duplicate_repair(self):
+        import numpy as np
+
+        pair = ModelPair.from_preset("toy")
+        roots = [(i, pair.context_of([17, i])) for i in range(24)]
+        centers = [None] * len(roots)
+        self._assert_matches_oracle(pair, roots, 5, 4, centers)
+        # The vocabulary is small enough that some expanded node's first
+        # draws collided, so the kernel's repair path actually ran.
+        oracle_ctxs = [
+            node.ctx_hash
+            for tok, ctx in roots
+            for node in build_candidate_tree(pair, tok, ctx, 4, 4).nodes()
+        ]
+        eff = np.full(len(oracle_ctxs), pair.target.predictability)
+        _, _, dup = batchgen._generate_rows(
+            pair.target, np.array(oracle_ctxs, dtype=np.uint64), eff
+        )
+        assert dup.any()
+
+    def test_perfectly_aligned_draft(self, perfect_pair):
+        roots = [(0, perfect_pair.context_of([3, i])) for i in range(10)]
+        self._assert_matches_oracle(perfect_pair, roots, 4, 3, [None, 0.5] * 5)
+
+    @pytest.mark.parametrize("width", [8, 11])
+    def test_width_at_least_branching(self, pair, width):
+        assert width >= pair.target.branching
+        roots = [(0, pair.context_of([5, i])) for i in range(6)]
+        self._assert_matches_oracle(pair, roots, 3, width, [None] * 6)
+
+    def test_mixed_none_and_float_centers(self, pair):
+        roots = [(0, pair.context_of([7, i])) for i in range(12)]
+        centers = [None, 0.3, 0.62, 0.9] * 3
+        self._assert_matches_oracle(pair, roots, 6, 5, centers)
+
+    def test_single_request_and_depth_zero(self, pair):
+        roots = [(2, pair.context_of([8]))]
+        self._assert_matches_oracle(pair, roots, 5, 3, [0.8])
+        self._assert_matches_oracle(pair, roots * 3, 0, 3, [None] * 3)
+
+    def test_speculation_does_not_grow_memos(self):
+        # Beam speculation reads draft rows straight from numpy; filling
+        # the shared distribution memos with per-context objects is what
+        # dominated the simulator's peak memory.
+        pair = ModelPair.build(seed=11)
+        draft_memo, target_memo = pair.draft._cache, pair.target._cache
+        before = len(draft_memo), len(target_memo)
+        roots = [(0, pair.context_of([13, i])) for i in range(32)]
+        speculate_batch(pair, roots, 6, 4, centers=[None, 0.7] * 16)
+        assert len(draft_memo) <= before[0]
+        assert len(target_memo) <= before[1]
 
 
 class TestTheorem41:
