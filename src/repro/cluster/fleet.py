@@ -1,15 +1,15 @@
-"""Fleet-level event loop: many replicas, one clock, one router.
+"""The simulation driver: many replicas, one clock, one router.
 
-:class:`FleetSimulator` is the multi-replica generalization of
-:class:`~repro.serving.server.ServingSimulator.run`.  Each replica keeps
-its own iteration timeline (``local_now``); the fleet processes events in
-global time order over a shared :class:`~repro.serving.clock.SimClock`:
+:class:`FleetSimulator` runs every simulation, single-engine runs
+included (:class:`~repro.serving.server.ServingSimulator` is its
+1-replica entry point).  Each replica keeps its own iteration timeline
+(``local_now``); the fleet processes events in global time order over a
+shared :class:`~repro.serving.clock.SimClock`:
 
 - the next event is either the earliest arrival or the earliest iteration
   boundary among replicas that have work;
 - arrivals are admitted through the router at their arrival instant —
-  a busy target queues them for its next boundary (exactly the
-  single-engine between-iteration admission semantics), an idle target's
+  a busy target queues them for its next boundary, an idle target's
   timeline is pulled forward and it steps immediately;
 - at each event the autoscaler (if configured) may add a warming replica
   or start draining one.
@@ -18,9 +18,9 @@ Because ties are broken by replica index and every random draw is seeded,
 a fleet run is a pure function of (replica factory, workload, router,
 autoscaler config) — two runs with the same inputs are byte-identical.
 
-Fleet-level metrics are the existing single-engine aggregation applied to
-the union of all per-replica requests, so cluster numbers and solo
-numbers are directly comparable.
+Fleet-level metrics are the per-replica aggregation applied to the union
+of all per-replica requests, so cluster numbers and single-engine numbers
+are directly comparable.
 """
 
 from __future__ import annotations
@@ -96,8 +96,8 @@ class FleetSimulator:
         ride the fleet event heap as first-class entries.  ``None`` or an
         empty schedule leaves the run bit-identical to a chaos-free one.
     max_sim_time_s / max_iterations:
-        Safety cutoffs, as in the single-engine simulator; iterations are
-        counted fleet-wide.
+        Safety cutoffs: no replica starts an iteration beyond
+        ``max_sim_time_s``; iterations are counted fleet-wide.
     observer:
         Optional :class:`~repro.obs.observer.RunObserver`; enables
         lifecycle tracing, fleet-event markers, and periodic gauge
@@ -129,7 +129,8 @@ class FleetSimulator:
             raise ValueError(f"num_replicas must be >= 1, got {num_replicas}")
         self.replica_factory = replica_factory
         # A columnar workload (anything exposing iter_chunks in arrival
-        # order) is consumed lazily, like the solo simulator does.
+        # order) is consumed lazily — requests materialize as the clock
+        # reaches them instead of all up front.
         self.requests = requests if hasattr(requests, "iter_chunks") else list(requests)
         self.metrics_mode = metrics_mode
         self.router = router
@@ -421,6 +422,25 @@ class FleetSimulator:
             self._obs.event(now, "restart", replica=replica.index)
 
     # ------------------------------------------------------------------
+    def _advance(self, clock: SimClock, t: float) -> None:
+        """Move the shared clock to the event about to be processed at ``t``.
+
+        Gauge sampling is lazy catch-up (repro.obs.sampler): pending ticks
+        <= ``t`` fire just before the event is processed, observing the
+        state held since the previous one — no heap entries of its own, so
+        the loop's event order, drain condition, and autoscale cadence are
+        untouched.  The sanitizer (if any) then checks the event order.
+        """
+        clock.advance_to(t)
+        sampler = self._sampler
+        if sampler is not None:
+            sampler.catch_up(t)
+        inv = self._inv
+        if inv is not None:
+            inv.check_event_time(t)
+            if sampler is not None:
+                inv.check_sampler(sampler, t)
+
     def run(self) -> FleetReport:
         """Execute the fleet simulation to completion (or safety cutoff).
 
@@ -446,11 +466,6 @@ class FleetSimulator:
         horizon = self.max_sim_time_s
         heap = self._event_heap
         replicas = self.replicas
-        # Gauge sampling is lazy catch-up (repro.obs.sampler): pending
-        # ticks <= the chosen event time fire just before the event is
-        # processed, observing the state held since the previous one —
-        # no heap entries of its own, so the loop's event order, drain
-        # condition, and autoscale cadence are untouched.
         sampler = self._sampler
         inv = self._inv
         # Conservation is checked against what was actually routed: a
@@ -473,12 +488,12 @@ class FleetSimulator:
             if not heap and next_arrival is None:
                 break  # drained
 
-            # Safety horizon, per replica as in the single-engine loop: a
-            # replica stops stepping once an iteration finishes beyond
-            # the horizon (its leftover requests count as violations).
-            # The run continues while any working replica is below the
-            # horizon, or an idle sub-horizon replica could still serve a
-            # pending sub-horizon arrival — only then is nothing left.
+            # Safety horizon, per replica: a replica stops stepping once
+            # an iteration finishes beyond the horizon (its leftover
+            # requests count as violations).  The run continues while any
+            # working replica is below the horizon, or an idle sub-horizon
+            # replica could still serve a pending sub-horizon arrival —
+            # only then is nothing left.
             step_candidate = None
             fault_index = None
             event_time = 0.0
@@ -513,25 +528,13 @@ class FleetSimulator:
                 next_arrival is None or event_time < next_arrival
             ):
                 heapq.heappop(heap)
-                clock.advance_to(event_time)
-                if sampler is not None:
-                    sampler.catch_up(event_time)
-                if inv is not None:
-                    inv.check_event_time(event_time)
-                    if sampler is not None:
-                        inv.check_sampler(sampler, event_time)
+                self._advance(clock, event_time)
                 self._apply_fault(self._chaos_events[fault_index], clock.now)
             elif step_candidate is not None and (
                 next_arrival is None or step_candidate.local_now < next_arrival
             ):
                 heapq.heappop(heap)
-                clock.advance_to(step_candidate.local_now)
-                if sampler is not None:
-                    sampler.catch_up(step_candidate.local_now)
-                if inv is not None:
-                    inv.check_event_time(step_candidate.local_now)
-                    if sampler is not None:
-                        inv.check_sampler(sampler, step_candidate.local_now)
+                self._advance(clock, step_candidate.local_now)
                 step_candidate.step()
                 if inv is not None:
                     inv.check_replica_step(
@@ -547,13 +550,7 @@ class FleetSimulator:
                         heap, (step_candidate.local_now, 1, step_candidate.index)
                     )
             else:
-                clock.advance_to(next_arrival)
-                if sampler is not None:
-                    sampler.catch_up(clock.now)
-                if inv is not None:
-                    inv.check_event_time(clock.now)
-                    if sampler is not None:
-                        inv.check_sampler(sampler, clock.now)
+                self._advance(clock, next_arrival)
                 for req in arrivals.release_until(clock.now):
                     target = self.router.route(req, self._routable(clock.now))
                     was_busy = target.has_work()

@@ -1,9 +1,10 @@
 """One fleet replica: an engine + scheduler pair on its own timeline.
 
-A replica is exactly the unit :class:`~repro.serving.server.ServingSimulator`
-drives — a fresh :class:`~repro.serving.engine.SimulatedEngine` wrapped by a
-scheduler — plus the bookkeeping the fleet loop needs to interleave many of
-them over one shared clock:
+A replica is a fresh :class:`~repro.serving.engine.SimulatedEngine` wrapped
+by a scheduler, plus the bookkeeping the fleet loop
+(:class:`~repro.cluster.fleet.FleetSimulator`, which drives single-engine
+runs as a 1-replica fleet) needs to interleave many of them over one shared
+clock:
 
 - ``local_now`` is the time up to which this replica has been simulated
   (its next iteration boundary when it has work);
@@ -86,8 +87,8 @@ class Replica:
 
         An idle replica's timeline is pulled forward to the admission
         instant (there is nothing to simulate in the gap); a busy replica
-        queues the request for its next boundary, exactly as the
-        single-engine loop admits between-iteration arrivals.
+        queues the request for its next boundary, exactly as a real
+        engine's waiting queue admits between-iteration arrivals.
         """
         if not self.has_work():
             self.local_now = max(self.local_now, now)

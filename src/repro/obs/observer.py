@@ -11,8 +11,8 @@ knows how to attach them to the simulation topology:
   requested, an :class:`~repro.serving.telemetry.IterationLog` as
   ``engine.telemetry``.  Iteration logs are keyed by replica index so a
   crash-replacement engine appends to the same log its predecessor used;
-- :meth:`bind_fleet` / :meth:`bind_solo` install the sampler's
-  state-capture callback for the fleet and single-engine loops.
+- :meth:`bind_fleet` installs the sampler's state-capture callback for
+  the fleet loop, which drives single-engine runs too (as one replica).
 
 Attachment is the only side effect; collection itself never touches
 simulation state, so observed runs stay byte-identical to unobserved
@@ -68,26 +68,6 @@ class RunObserver:
             engine.obs = self.collector.tracer(replica)
         if self.iteration_logs is not None:
             engine.telemetry = self.iteration_logs.setdefault(replica, IterationLog())
-
-    def bind_solo(self, scheduler, engine) -> None:
-        """Sampler capture for the single-engine loop (one static replica)."""
-        if self.sampler is None:
-            return
-
-        def capture(t: float) -> Sample:
-            kv = engine.kv
-            row = (
-                0,
-                "live",
-                len(scheduler.waiting),
-                len(scheduler.running),
-                kv.used_blocks,
-                kv.total_blocks,
-                _prefix_blocks(kv),
-            )
-            return Sample(t, (1, 0, 0, 0, 1), (row,))
-
-        self.sampler.bind(capture)
 
     def bind_fleet(self, fleet) -> None:
         """Sampler capture for the fleet loop (live replica list)."""

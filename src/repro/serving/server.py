@@ -1,26 +1,29 @@
-"""Top-level serving simulator.
+"""Single-engine entry point and the shared run report.
 
-Drives a scheduler over an arrival trace: admit requests whose timestamps
-have passed, run scheduler iterations, advance the simulated clock by each
-iteration's modeled latency, and collect metrics when the pool drains.
+:class:`ServingSimulator` simulates one scheduler over one arrival trace.
+It is the 1-replica entry point to the one simulation driver,
+:class:`~repro.cluster.fleet.FleetSimulator`: the caller's engine and
+scheduler become replica 0 of a fleet with a round-robin router, and the
+run's report is that replica's report.
 
-The loop is iteration-driven rather than event-driven: GPU serving systems
-execute one batch step at a time, and every interesting event (token
-commit, prefill completion) happens at an iteration boundary.  Arrivals
-between boundaries are admitted at the next boundary, exactly as a real
-engine's waiting queue behaves.
+Serving is iteration-driven: GPU serving systems execute one batch step
+at a time, and every interesting event (token commit, prefill
+completion) happens at an iteration boundary.  A request that arrives
+while the engine is busy waits in its queue until the next boundary,
+exactly as a real engine's waiting queue behaves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.serving.clock import ArrivalStream, ChunkedArrivalStream, SimClock
 from repro.serving.engine import SimulatedEngine
 from repro.serving.metrics import RunMetrics
 from repro.serving.request import Request
 from repro.serving.scheduler_base import Scheduler
-from repro.serving.streaming import aggregate_metrics
+# Not used by this module; kept importable because the slobench layer
+# profiler patches ``server.aggregate_metrics``.
+from repro.serving.streaming import aggregate_metrics  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -51,6 +54,11 @@ class SimulationReport:
 class ServingSimulator:
     """Simulate one scheduler over one workload trace.
 
+    A thin front for :class:`~repro.cluster.fleet.FleetSimulator` with one
+    replica, so single-engine and fleet runs share one event loop (and
+    its safety horizon, observation, and invariant hooks).  The report is
+    the replica's: the bare scheduler name and no chaos section.
+
     Parameters
     ----------
     engine:
@@ -60,8 +68,8 @@ class ServingSimulator:
     requests:
         The workload; arrival times are absolute seconds.
     max_sim_time_s:
-        Safety horizon; the run aborts (with unfinished requests counted
-        as violations) if simulated time exceeds it.
+        Safety horizon; no iteration starts beyond it (unfinished
+        requests count as violations).
     max_iterations:
         Safety cap on scheduler iterations.
     observer:
@@ -71,9 +79,10 @@ class ServingSimulator:
         unobserved one's.
     invariants:
         Optional :class:`~repro.check.invariants.InvariantChecker`
-        (``--check-invariants``); validates event-time monotonicity,
-        sampler bounds, and request conservation during the run.  Checks
-        are read-only: a checked run's report is byte-identical too.
+        (``--check-invariants``); validates event-time and iteration
+        boundary monotonicity, sampler bounds, and request conservation
+        during the run.  Checks are read-only: a checked run's report is
+        byte-identical too.
     """
 
     def __init__(
@@ -87,14 +96,13 @@ class ServingSimulator:
         invariants=None,
         metrics_mode: str = "exact",
     ) -> None:
+        # Replica makes the same check, but only once run() builds it;
+        # reject a mismatched pair at construction already.
         if scheduler.engine is not engine:
             raise ValueError("scheduler must wrap the provided engine")
         self.engine = engine
         self.scheduler = scheduler
-        # A columnar workload (anything exposing iter_chunks in arrival
-        # order) is consumed lazily — requests materialize as the clock
-        # reaches them instead of all up front.
-        self.requests = requests if hasattr(requests, "iter_chunks") else list(requests)
+        self.requests = requests
         self.max_sim_time_s = max_sim_time_s
         self.max_iterations = max_iterations
         self.observer = observer
@@ -103,78 +111,20 @@ class ServingSimulator:
 
     def run(self) -> SimulationReport:
         """Execute the simulation to completion (or safety cutoff)."""
-        clock = SimClock()
-        if hasattr(self.requests, "iter_chunks"):
-            arrivals = ChunkedArrivalStream(self.requests.iter_chunks())
-        else:
-            arrivals = ArrivalStream(self.requests)
-        iterations = 0
-        sampler = None
-        if self.observer is not None:
-            self.observer.bind_solo(self.scheduler, self.engine)
-            sampler = self.observer.sampler
-        # The tracer (if any) was installed as ``engine.obs`` by the
-        # harness; a solo run never swaps engines, so bind it once.
-        tracer = self.engine.obs
-        inv = self.invariants
-        # Conservation is checked against what was actually admitted: a
-        # horizon abort legitimately leaves unreleased arrivals behind.
-        admitted = [] if inv is not None else None
+        # Imported here: repro.cluster.fleet imports SimulationReport
+        # from this module.
+        from repro.cluster.fleet import FleetSimulator
+        from repro.cluster.router import RoundRobinRouter
 
-        while True:
-            # Gauge ticks <= now fire before this boundary's admissions,
-            # capturing the state held since the previous event.
-            if sampler is not None:
-                sampler.catch_up(clock.now)
-            if inv is not None:
-                inv.check_event_time(clock.now)
-                if sampler is not None:
-                    inv.check_sampler(sampler, clock.now)
-
-            for req in arrivals.release_until(clock.now):
-                self.scheduler.admit(req)
-                if tracer is not None:
-                    tracer.enqueue(clock.now, req)
-                if admitted is not None:
-                    admitted.append(req)
-
-            if not self.scheduler.has_work():
-                nxt = arrivals.next_arrival
-                if nxt is None:
-                    break  # drained
-                clock.advance_to(nxt)
-                continue
-
-            if tracer is not None:
-                tracer.now = clock.now
-            latency = self.scheduler.step(clock.now)
-            if latency <= 0:
-                raise RuntimeError(
-                    f"{self.scheduler.name}: non-positive iteration latency {latency}"
-                )
-            clock.advance(latency)
-            iterations += 1
-
-            if clock.now > self.max_sim_time_s:
-                break
-            if iterations > self.max_iterations:
-                raise RuntimeError(
-                    f"{self.scheduler.name}: exceeded {self.max_iterations} iterations"
-                )
-
-        if sampler is not None:
-            sampler.catch_up(clock.now)
-        self.scheduler.finalize()
-        all_requests = self.scheduler.all_requests()
-        if inv is not None:
-            if sampler is not None:
-                inv.check_sampler(sampler, clock.now)
-            inv.check_conservation(admitted, all_requests, "solo drain")
-        return SimulationReport(
-            scheduler_name=self.scheduler.name,
-            metrics=aggregate_metrics(all_requests, self.metrics_mode),
-            sim_time_s=clock.now,
-            iterations=iterations,
-            phase_breakdown=self.engine.phase_times.breakdown(),
-            requests=all_requests,
+        fleet = FleetSimulator(
+            lambda index: (self.engine, self.scheduler),
+            self.requests,
+            RoundRobinRouter(),
+            num_replicas=1,
+            max_sim_time_s=self.max_sim_time_s,
+            max_iterations=self.max_iterations,
+            observer=self.observer,
+            invariants=self.invariants,
+            metrics_mode=self.metrics_mode,
         )
+        return fleet.run().replica_reports[0]

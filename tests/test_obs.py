@@ -151,6 +151,17 @@ class TestTracer:
         assert ev.t == 4.5
         assert ev.data == {"drop_kv": True}
 
+    def test_solo_enqueue_stamps_arrival_instant(self):
+        # A single-engine run admits each request when it arrives (a busy
+        # engine queues it for its next boundary), like a fleet replica.
+        report, observer = run_traced(
+            _spec(system="vllm", rps=5.0, duration_s=6.0, obs=ObsSpec(trace=True))
+        )
+        arrival = {r.rid: r.arrival_time for r in report.requests}
+        enqueues = observer.collector.of_kind("enqueue")
+        assert sorted(e.rid for e in enqueues) == sorted(arrival)
+        assert [e.t for e in enqueues] == [arrival[e.rid] for e in enqueues]
+
 
 class TestObservationInvariance:
     """Observed runs must not change a single byte of the report."""

@@ -130,6 +130,34 @@ class TestSimulator:
         assert report.sim_time_s <= 0.5 + 1.0  # one iteration of slack
         assert report.metrics.num_finished < 30
 
+    def test_no_iteration_starts_past_horizon(self, target_roofline, draft_roofline):
+        """An idle engine does not jump to an arrival beyond the horizon and step."""
+        from repro.model.pair import ModelPair
+
+        pair = ModelPair.build(vocab_size=1000, seed=3)
+        engine = SimulatedEngine(
+            pair, target_roofline, draft_roofline, KVCacheManager(100_000), seed=3
+        )
+        scheduler = VLLMScheduler(engine)
+        starts = []
+        step = scheduler.step
+
+        def recording_step(now):
+            starts.append(now)
+            return step(now)
+
+        scheduler.step = recording_step
+        reqs = [
+            make_request(rid=0, arrival=0.0, prompt_len=30, max_new_tokens=4),
+            make_request(rid=1, arrival=10.0, prompt_len=30, max_new_tokens=4),
+        ]
+        report = ServingSimulator(engine, scheduler, reqs, max_sim_time_s=5.0).run()
+        assert report.iterations == len(starts)
+        assert max(starts) <= 5.0
+        late = next(r for r in report.requests if r.rid == 1)
+        assert not late.is_finished
+        assert late.state is RequestState.QUEUED
+
     def test_report_phase_breakdown(self, engine):
         reqs = [make_request(rid=0, prompt_len=10, max_new_tokens=3)]
         report = ServingSimulator(engine, VLLMScheduler(engine), reqs).run()
