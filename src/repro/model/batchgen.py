@@ -4,7 +4,7 @@ The scalar generators in :mod:`repro.model.stochastic_lm` /
 :mod:`repro.model.draft` produce one distribution per call from ~18
 splitmix64 chains plus a handful of float operations.  When a caller
 knows *many* contexts it is about to query — a beam-search level across
-a whole batch, a decode batch's next-token samples — those chains can be
+a whole batch, a chain drafter's lockstep steps — those chains can be
 evaluated for every context at once with ``numpy`` uint64/float64
 matrices (contexts x draws), collapsing thousands of interpreter
 operations into a few dozen array dispatches.
@@ -28,9 +28,11 @@ Two kinds of entry point share those kernels:
 - :func:`draft_rows` returns draft rows as arrays, creating no
   ``TokenDistribution`` and writing no memo.  Beam speculation
   (:func:`repro.core.speculation.speculate_batch`) is its array path.
-- :func:`prefetch_target` / :func:`prefetch_draft` warm the memos for
-  callers that then query scalar-style (decode sampling; the chain
-  drafters' ``draft_chains``).
+- :func:`prefetch_draft` warms the memos for callers that then query
+  scalar-style (the chain drafters' ``draft_chains``);
+  :func:`prefetch_target` is its target-only twin behind
+  ``StochasticLM.prefetch``.  No simulator path calls it since plain
+  decode stopped sampling (see ``Request.commit_plain_token``).
 
 The scalar methods (``StochasticLM.distribution``,
 ``DraftLM.distribution``) are the reference oracle.  The golden-equivalence

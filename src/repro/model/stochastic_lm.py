@@ -297,9 +297,9 @@ class StochasticLM:
 
     def sample(self, ctx: int, center: float | None = None) -> int:
         """The token the target emits at this context (deterministic)."""
-        # Inline the memo probe: decode loops sample right after a batch
-        # prefetch, so the hit path should not pay the distribution()
-        # frame + key recomputation.
+        # Inline the memo probe: chain-drafter verification samples
+        # contexts that ``DraftLM.prefetch`` just memoized, so the hit path
+        # should not pay the distribution() frame + key recomputation.
         if center is None:
             key = ctx
         else:

@@ -154,12 +154,3 @@ def request_block_keys(req, n_tokens: int, block_size: int) -> list[int]:
         state[1] = h
     return keys[: n_tokens // block_size]
 
-
-def _token_at(segments: Sequence[tuple[int, int]], pos: int) -> int:
-    """Token id at global stream position ``pos`` (final segment extends)."""
-    offset = 0
-    for i, (namespace, length) in enumerate(segments):
-        if pos < offset + length or i == len(segments) - 1:
-            return mix(namespace, pos - offset)
-        offset += length
-    raise IndexError(pos)  # unreachable: the final segment is unbounded

@@ -7,7 +7,9 @@ GPU operations every scheduler is composed of:
 
 - ``prefill(chunks, now)``: process prompt chunks (possibly batched with
   nothing else — co-batching is priced via ``verify_cost`` extras);
-- ``decode(requests, now)``: one autoregressive token per request;
+- ``decode(requests, now)``: one autoregressive token per request,
+  committed without sampling (its identity is folded into ``Request.ctx``
+  when that is read);
 - ``draft_cost(step_tokens)``: price a batched draft beam (CUDA-graph
   replays for shape-stable steps 2..d);
 - ``verify_cost(tokens, context)``: price target verification of a batch
@@ -27,7 +29,6 @@ from repro.hardware.cuda_graph import CudaGraphModel
 from repro.prefixcache.tokens import request_block_keys
 from repro.hardware.roofline import RooflineModel
 from repro.model.pair import ModelPair
-from repro.model.stochastic_lm import PREFETCH_MIN_BATCH
 from repro.serving.kv_cache import KVCacheManager
 from repro.serving.request import Request, RequestState
 
@@ -209,6 +210,11 @@ class SimulatedEngine:
     ) -> float:
         """One autoregressive decoding iteration; returns latency.
 
+        Each request commits one token without sampling it: the token's
+        identity is folded into ``req.ctx`` when that is read (see
+        :meth:`Request.commit_plain_token`), so the batch pays nothing
+        for content no caller looks at.
+
         ``context_tokens`` (the batch's summed KV residency) may be
         passed by schedulers that already walked the batch this
         iteration — e.g. during KV admission — so the engine does not
@@ -226,18 +232,9 @@ class SimulatedEngine:
         if self.slow_factor != 1.0:
             latency *= self.slow_factor
         end = now + latency
-        if len(requests) >= PREFETCH_MIN_BATCH:
-            # One vectorized pass generates the whole batch's next-token
-            # distributions (bit-identical; see repro.model.batchgen).
-            self.pair.target.prefetch(
-                [(r.ctx, r.predictability) for r in requests]
-            )
-        target_sample = self.pair.target_sample
-        extend = self.pair.extend
+        pair = self.pair
         for req in requests:
-            ctx = req.ctx
-            tok = target_sample(ctx, req.predictability)
-            req.commit_tokens(1, extend(ctx, tok), end)
+            req.commit_plain_token(pair, end)
         self.phase_times.decode_s += latency
         self.iterations += 1
         return latency
@@ -254,8 +251,9 @@ class SimulatedEngine:
         This is Sarathi-Serve's chunked-prefill step: decodes piggyback on
         prompt-chunk compute.  Latency is a single forward pass over all
         batched tokens; busy time is split between the prefill and decode
-        phases in proportion to their token counts.
-        ``decode_context_tokens`` works as in :meth:`decode`.
+        phases in proportion to their token counts.  Decode tokens are
+        committed content-free and ``decode_context_tokens`` works as in
+        :meth:`decode`.
         """
         if not decode_requests and not prefill_chunks:
             raise ValueError("empty mixed step")
@@ -274,16 +272,9 @@ class SimulatedEngine:
         if self.slow_factor != 1.0:
             latency *= self.slow_factor
         end = now + latency
-        if decode_tokens >= PREFETCH_MIN_BATCH:
-            self.pair.target.prefetch(
-                [(r.ctx, r.predictability) for r in decode_requests]
-            )
-        target_sample = self.pair.target_sample
-        extend = self.pair.extend
+        pair = self.pair
         for req in decode_requests:
-            ctx = req.ctx
-            tok = target_sample(ctx, req.predictability)
-            req.commit_tokens(1, extend(ctx, tok), end)
+            req.commit_plain_token(pair, end)
         for req, tokens in prefill_chunks:
             req.advance_prefill(tokens)
             if req.remaining_prompt == 0:

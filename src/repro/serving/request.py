@@ -18,7 +18,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
+
+if TYPE_CHECKING:
+    from repro.model.pair import ModelPair
 
 
 class RequestState(enum.Enum):
@@ -60,7 +63,8 @@ class Request:
     # -- runtime state (managed via helpers) --
     state: RequestState = RequestState.QUEUED
     prefilled: int = 0
-    ctx: int = 0  # model context hash, valid once prefill completes
+    #: Model context hash as of the last fold (read it through ``ctx``).
+    _ctx: int = field(default=0, init=False)
     n_generated: int = 0
     decode_start: float | None = None
     first_token_time: float | None = None
@@ -84,6 +88,12 @@ class Request:
     #: equality so instrumented and plain requests compare identically.
     on_finish: "Callable[[Request], None] | None" = field(
         default=None, repr=False, compare=False
+    )
+    #: Plain-decoded tokens committed since ``_ctx`` was last folded, and
+    #: the model pair that emitted them (see :meth:`commit_plain_token`).
+    _unfolded: int = field(default=0, init=False, repr=False, compare=False)
+    _pair: "ModelPair | None" = field(
+        default=None, init=False, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
@@ -153,6 +163,32 @@ class Request:
         self.prefilled = 0
         self.state = RequestState.QUEUED
 
+    @property
+    def ctx(self) -> int:
+        """Model context hash, valid once prefill completes.
+
+        Plain decode commits tokens without sampling them; the first read
+        afterwards folds each pending token in exactly as eager decoding
+        would have (the target's deterministic sample at the running
+        context), so the value is token-exact whenever it is read.
+        """
+        pending = self._unfolded
+        if pending:
+            pair = self._pair
+            target_sample = pair.target_sample
+            extend = pair.extend
+            ctx = self._ctx
+            for _ in range(pending):
+                ctx = extend(ctx, target_sample(ctx, self.predictability))
+            self._ctx = ctx
+            self._unfolded = 0
+        return self._ctx
+
+    @ctx.setter
+    def ctx(self, value: int) -> None:
+        self._ctx = value
+        self._unfolded = 0
+
     def begin_decode(self, ctx: int, now: float) -> None:
         """Mark prefill complete and start the decode phase."""
         if self.prefilled != self.prompt_len:
@@ -177,6 +213,22 @@ class Request:
 
     def commit_tokens(self, count: int, new_ctx: int, now: float) -> None:
         """Commit ``count`` generated tokens at time ``now``."""
+        self._check_commit(count)
+        self.ctx = new_ctx
+        self._account_tokens(count, now)
+
+    def commit_plain_token(self, pair: "ModelPair", now: float) -> None:
+        """Commit one plain-decoded token at time ``now`` without sampling it.
+
+        The token is whatever ``pair`` emits at the current context; it is
+        folded into :attr:`ctx` only when something reads it.
+        """
+        self._check_commit(1)
+        self._pair = pair
+        self._unfolded += 1
+        self._account_tokens(1, now)
+
+    def _check_commit(self, count: int) -> None:
         if self.state != RequestState.RUNNING:
             raise ValueError(f"request {self.rid}: commit while {self.state}")
         if count < 1:
@@ -185,7 +237,8 @@ class Request:
             raise ValueError(
                 f"request {self.rid}: commit {count} exceeds remaining {self.remaining_tokens}"
             )
-        self.ctx = new_ctx
+
+    def _account_tokens(self, count: int, now: float) -> None:
         self.n_generated += count
         if self.first_token_time is None:
             self.first_token_time = now
@@ -303,7 +356,7 @@ class Request:
         clone.prompt_segments = self.prompt_segments
         clone.state = RequestState.QUEUED
         clone.prefilled = 0
-        clone.ctx = 0
+        clone._ctx = 0
         clone.n_generated = 0
         clone.decode_start = None
         clone.first_token_time = None
@@ -317,6 +370,8 @@ class Request:
         clone.token_times = []
         clone.record_token_times = False
         clone.on_finish = None
+        clone._unfolded = 0
+        clone._pair = None
         return clone
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

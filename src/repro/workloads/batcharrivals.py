@@ -338,7 +338,7 @@ class ColumnarWorkload:
                     req.prompt_segments = (session_seg,)
             req.state = queued
             req.prefilled = 0
-            req.ctx = 0
+            req._ctx = 0
             req.n_generated = 0
             req.decode_start = None
             req.first_token_time = None
@@ -352,6 +352,8 @@ class ColumnarWorkload:
             req.token_times = []
             req.record_token_times = False
             req.on_finish = None
+            req._unfolded = 0
+            req._pair = None
             out.append(req)
         return out
 

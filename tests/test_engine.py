@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.model.stochastic_lm import PREFETCH_MIN_BATCH
 from repro.serving.request import RequestState
+from repro.workloads import batcharrivals
+from repro.workloads.generator import WorkloadGenerator
 from tests.conftest import make_request
 
 
@@ -162,3 +165,118 @@ class TestLifecycle:
         engine.preempt(req, drop_kv=True)
         assert not engine.kv.holds(req.rid)
         assert req.prefilled == 0
+
+
+def sampled_chain(pair, ctx, predictability, steps):
+    """Context after ``steps`` eagerly sampled target tokens."""
+    for _ in range(steps):
+        ctx = pair.extend(ctx, pair.target_sample(ctx, predictability))
+    return ctx
+
+
+class CountingPair:
+    """Delegates to a real pair, counting the token samples it serves."""
+
+    def __init__(self, pair):
+        self.pair = pair
+        self.samples = 0
+        self.extend = pair.extend
+
+    def target_sample(self, ctx, center=None):
+        self.samples += 1
+        return self.pair.target_sample(ctx, center)
+
+
+class TestContentFreeDecode:
+    """Plain decode commits tokens unsampled; ``ctx`` folds them on read."""
+
+    def test_decode_ctx_exact_across_preemption(self, engine):
+        read_early = running(engine, rid=21, out=20)
+        read_late = running(engine, rid=22, out=20)
+        roots = {r.rid: engine.root_ctx(r) for r in (read_early, read_late)}
+        batch = [read_early, read_late]
+        for step in range(3):
+            engine.decode(batch, float(step))
+        assert read_early.ctx == sampled_chain(
+            engine.pair, roots[21], read_early.predictability, 3
+        )
+        for req in batch:
+            engine.preempt(req, drop_kv=False)
+            req.resume()
+        for step in range(3, 6):
+            engine.decode(batch, float(step))
+        for req in batch:
+            assert req.n_generated == 6
+            assert req.ctx == sampled_chain(
+                engine.pair, roots[req.rid], req.predictability, 6
+            )
+
+    def test_mixed_step_ctx_exact_across_preemption(self, engine):
+        read_early = running(engine, rid=23, out=20)
+        read_late = running(engine, rid=24, out=20)
+        roots = {r.rid: engine.root_ctx(r) for r in (read_early, read_late)}
+        batch = [read_early, read_late]
+        long_prompt = queued(rid=25, prompt=1000)
+        for step in range(6):
+            if step == 3:
+                for req in batch:
+                    engine.preempt(req, drop_kv=False)
+                    req.resume()
+            engine.mixed_step(batch, [(long_prompt, 50)], float(step))
+            if step == 1:
+                assert read_early.ctx == sampled_chain(
+                    engine.pair, roots[23], read_early.predictability, 2
+                )
+        assert long_prompt.prefilled == 300
+        for req in batch:
+            assert req.ctx == sampled_chain(
+                engine.pair, roots[req.rid], req.predictability, 6
+            )
+
+    def test_plain_steps_leave_target_memo_untouched(self, engine):
+        # Fresh contexts: sampling them would grow the shared memo.
+        batch = [running(engine, rid=70_000 + i) for i in range(PREFETCH_MIN_BATCH)]
+        prompt = queued(rid=71_000, prompt=1000)
+        cache = engine.pair.target._cache
+        before = len(cache)
+        engine.decode(batch, 0.0)
+        engine.mixed_step(batch, [(prompt, 64)], 1.0)
+        assert len(cache) == before
+
+    def test_fresh_copy_drops_unfolded_tokens(self, engine):
+        req = running(engine, rid=26)
+        counting = CountingPair(engine.pair)
+        req.commit_plain_token(counting, 1.0)
+        req.commit_plain_token(counting, 2.0)
+        clone = req.fresh_copy()
+        assert clone.ctx == 0
+        assert counting.samples == 0
+        assert req.ctx == sampled_chain(engine.pair, engine.root_ctx(req), req.predictability, 2)
+        assert counting.samples == 2
+
+    def test_fail_over_discards_unfolded_tokens(self, engine):
+        req = running(engine, rid=27)
+        counting = CountingPair(engine.pair)
+        req.commit_plain_token(counting, 1.0)
+        req.fail_over()
+        assert req.ctx == 0
+        assert counting.samples == 0
+
+    def test_batcharrivals_request_decodes_exactly(self, target_roofline, engine):
+        if not batcharrivals.AVAILABLE:
+            pytest.skip("numpy unavailable; substrate disabled")
+        saved = batcharrivals.DISABLED
+        batcharrivals.DISABLED = False
+        try:
+            reqs = WorkloadGenerator(target_roofline, seed=0).steady(60.0, 4.0)
+        finally:
+            batcharrivals.DISABLED = saved
+        assert len(reqs) >= batcharrivals.MIN_BATCH  # built by the columnar path
+        req = reqs[0]
+        assert req.ctx == 0
+        engine.prefill([(req, req.prompt_len)], 0.0)
+        for step in range(min(3, req.max_new_tokens)):
+            engine.decode([req], float(step))
+        assert req.ctx == sampled_chain(
+            engine.pair, engine.root_ctx(req), req.predictability, req.n_generated
+        )
