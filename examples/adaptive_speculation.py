@@ -1,9 +1,9 @@
 """Adaptive speculation under load swings (Equations 8-9 in action).
 
-Serves a strongly bursty trace with AdaServe and reads the engine's
-per-iteration telemetry to show the beam shape (d, w), batch size and
-realized acceptance over time: the policy speculates aggressively in the
-valleys and conservatively at the peaks.
+Serves a strongly bursty trace with AdaServe and reads its per-iteration
+log (a ``RunObserver`` with ``iteration_log`` on) to show the beam shape
+(d, w), batch size and realized acceptance over time: the policy
+speculates aggressively in the valleys and conservatively at the peaks.
 
 Run:  python examples/adaptive_speculation.py
 """
@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from repro.analysis import build_setup
 from repro.analysis.harness import make_scheduler
+from repro.obs import RunObserver
 from repro.serving import ServingSimulator
-from repro.serving.telemetry import IterationLog
 from repro.workloads import WorkloadGenerator
 
 
@@ -24,10 +24,10 @@ def main() -> None:
     print(f"workload: {len(requests)} requests over 60 s (bursty)")
 
     engine = setup.build_engine()
-    engine.telemetry = IterationLog()
     scheduler = make_scheduler("adaserve", engine)
-    report = ServingSimulator(engine, scheduler, requests).run()
-    log = engine.telemetry
+    observer = RunObserver(trace=False, iteration_log=True)
+    report = ServingSimulator(engine, scheduler, requests, observer=observer).run()
+    log = observer.iteration_logs[0]
 
     print(
         f"\nAdaServe: attainment {report.metrics.attainment * 100:.1f}%, "

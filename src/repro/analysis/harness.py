@@ -149,32 +149,26 @@ def run_once(
     requests: list[Request],
     max_sim_time_s: float = 7200.0,
     observer=None,
-    invariants=None,
     metrics_mode: str = "exact",
     **scheduler_overrides,
 ) -> SimulationReport:
     """Run one system over one workload on a fresh engine.
 
     ``observer`` (a :class:`~repro.obs.observer.RunObserver`) attaches
-    lifecycle tracing + gauge sampling; ``invariants`` (a
-    :class:`~repro.check.invariants.InvariantChecker`) attaches the
-    runtime sanitizer.  Both are passive, so the report is byte-identical
-    with or without them.  ``metrics_mode`` selects the aggregation path
-    (``exact`` or ``streaming``; see :mod:`repro.serving.streaming`).
+    tracing, gauge sampling, iteration logs and, if it carries a
+    checker, the runtime sanitizer.  All are passive, so the report is
+    byte-identical with or without them.  ``metrics_mode`` selects the
+    aggregation path (``exact`` or ``streaming``; see
+    :mod:`repro.serving.streaming`).
     """
     engine = setup.build_engine()
-    if observer is not None:
-        observer.attach_engine(engine, replica=0)
     scheduler = make_scheduler(system, engine, **scheduler_overrides)
-    if invariants is not None:
-        invariants.attach(engine, scheduler, replica=0)
     sim = ServingSimulator(
         engine,
         scheduler,
         _clone_requests(requests),
         max_sim_time_s=max_sim_time_s,
         observer=observer,
-        invariants=invariants,
         metrics_mode=metrics_mode,
     )
     return sim.run()
@@ -190,7 +184,6 @@ def run_cluster(
     faults: Sequence[str] | None = None,
     max_sim_time_s: float = 7200.0,
     observer=None,
-    invariants=None,
     metrics_mode: str = "exact",
     **scheduler_overrides,
 ) -> FleetReport:
@@ -206,21 +199,15 @@ def run_cluster(
     materialized into a deterministic :class:`FaultSchedule` seeded from
     ``setup.seed`` — fixed-seed chaos runs are byte-identical across
     repeats.  ``observer`` (a :class:`~repro.obs.observer.RunObserver`)
-    attaches tracing to every engine the factory ever builds — initial
-    fleet, autoscaled additions, and crash replacements alike; the same
-    holds for ``invariants`` (an
-    :class:`~repro.check.invariants.InvariantChecker`).
+    is attached by the fleet driver to every engine the factory ever
+    builds — initial fleet, autoscaled additions, and crash replacements
+    alike.
     """
 
     def replica_factory(index: int):
         replica_setup = replace(setup, seed=derive_seed(setup.seed, "fleet", index))
         engine = replica_setup.build_engine()
-        if observer is not None:
-            observer.attach_engine(engine, replica=index)
-        scheduler = make_scheduler(system, engine, **scheduler_overrides)
-        if invariants is not None:
-            invariants.attach(engine, scheduler, replica=index)
-        return engine, scheduler
+        return engine, make_scheduler(system, engine, **scheduler_overrides)
 
     autoscaler_config = None
     if autoscale is not None:
@@ -248,7 +235,6 @@ def run_cluster(
         fault_schedule=fault_schedule,
         max_sim_time_s=max_sim_time_s,
         observer=observer,
-        invariants=invariants,
         metrics_mode=metrics_mode,
     )
     return fleet.run()

@@ -39,6 +39,7 @@ from repro.analysis.cache import ResultCache
 from repro.analysis.export import report_from_dict, report_to_dict
 from repro.analysis.harness import Setup, build_setup, run_cluster, run_once
 from repro.analysis.spec import ClusterSpec, ExperimentSpec, SystemSpec, WorkloadSpec
+from repro.obs import RunObserver
 from repro.registry import TRACES
 from repro.serving.request import Request
 from repro.serving.server import SimulationReport
@@ -94,9 +95,15 @@ def run_spec(
     the fleet-level summary.  ``observer`` (see :func:`run_traced`)
     attaches passive observability; ``invariants`` (an
     :class:`~repro.check.invariants.InvariantChecker`, see
-    ``--check-invariants``) attaches the runtime sanitizer.  Neither
-    ever changes the report.
+    ``--check-invariants``) becomes the observer's checker, so the fleet
+    driver attaches the runtime sanitizer with it.  Neither ever changes
+    the report.
     """
+    if invariants is not None:
+        if observer is None:
+            observer = RunObserver(trace=False, checker=invariants)
+        else:
+            observer.checker = invariants
     setup = build_setup(
         config.system.model,
         seed=config.workload.seed,
@@ -118,7 +125,6 @@ def run_spec(
             faults=config.chaos.faults if config.chaos.enabled else None,
             max_sim_time_s=config.system.max_sim_time_s,
             observer=observer,
-            invariants=invariants,
             metrics_mode=config.system.metrics,
         ).summary
     return run_once(
@@ -127,7 +133,6 @@ def run_spec(
         requests,
         max_sim_time_s=config.system.max_sim_time_s,
         observer=observer,
-        invariants=invariants,
         metrics_mode=config.system.metrics,
     )
 
@@ -145,8 +150,6 @@ def run_traced(config: ExperimentSpec, invariants=None):
     byte-identical reports.  ``invariants`` attaches the runtime
     sanitizer exactly as in :func:`run_spec`.
     """
-    from repro.obs import RunObserver
-
     observer = RunObserver.from_spec(config.obs)
     report = run_spec(config, observer=observer, invariants=invariants)
     return report, observer

@@ -8,12 +8,15 @@ raise :class:`InvariantViolation` immediately, carrying structured
 context (invariant name, replica, request, block, sim time) so a report
 names exactly what broke and where.
 
-Gating follows the observability pattern (``engine.obs``): engines and
-schedulers carry an ``inv`` attribute that is ``None`` by default, and
-every hook site is ``inv = self.inv; if inv is not None: ...`` — the
-sanitizer-off hot path pays one attribute load per lifecycle event and
-nothing else.  The checks themselves are read-only over simulator state,
-so a checked run's report is byte-identical to an unchecked one's.
+The checker rides on the observability layer: a
+:class:`~repro.obs.observer.RunObserver` carries it as ``checker``, the
+fleet driver runs the event-order, sampler and conservation checks, and
+each replica's watcher (``engine.obs``, a
+:class:`~repro.obs.trace.ReplicaTracer`) runs :meth:`InvariantChecker.check_kv`
+after every KV lifecycle event.  Engines and schedulers carry no hook of
+their own, so the sanitizer-off hot path pays nothing beyond the
+``engine.obs`` guard.  The checks themselves are read-only over simulator
+state, so a checked run's report is byte-identical to an unchecked one's.
 """
 
 from __future__ import annotations
@@ -78,23 +81,6 @@ class InvariantViolation(AssertionError):
         return f"invariant {self.invariant} violated: {self.message}{suffix}"
 
 
-class _BoundInvariants:
-    """Per-replica facade installed as ``engine.inv`` / ``scheduler.inv``.
-
-    Binds the replica index once at attach time so lifecycle hooks do not
-    thread it through every call.
-    """
-
-    __slots__ = ("checker", "replica")
-
-    def __init__(self, checker: "InvariantChecker", replica: int) -> None:
-        self.checker = checker
-        self.replica = replica
-
-    def kv(self, kv, event: str, rid: int | None = None) -> None:
-        self.checker.check_kv(kv, event, replica=self.replica, rid=rid)
-
-
 class InvariantChecker:
     """One sanitizer instance per run; shared across a fleet's replicas."""
 
@@ -103,13 +89,6 @@ class InvariantChecker:
         self.checks = 0
         self._replica_clock: dict[int, float] = {}
         self._event_clock = -math.inf
-
-    # ------------------------------------------------------------------
-    def attach(self, engine, scheduler, replica: int = 0) -> None:
-        """Install lifecycle hooks on an engine + scheduler pair."""
-        bound = _BoundInvariants(self, replica)
-        engine.inv = bound
-        scheduler.inv = bound
 
     # ------------------------------------------------------------------
     # KV / prefix-block conservation

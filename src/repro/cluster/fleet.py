@@ -82,7 +82,8 @@ class FleetSimulator:
     ----------
     replica_factory:
         Called with a replica index to build a fresh engine + scheduler
-        pair (initial fleet and autoscaled additions alike).
+        pair (initial fleet, autoscaled additions and crash replacements
+        alike).
     requests:
         The cluster-level workload; arrival times are absolute seconds.
     router:
@@ -99,16 +100,15 @@ class FleetSimulator:
         Safety cutoffs: no replica starts an iteration beyond
         ``max_sim_time_s``; iterations are counted fleet-wide.
     observer:
-        Optional :class:`~repro.obs.observer.RunObserver`; enables
-        lifecycle tracing, fleet-event markers, and periodic gauge
-        sampling.  Observation is passive — an observed run's report is
-        byte-identical to an unobserved one's.
-    invariants:
-        Optional :class:`~repro.check.invariants.InvariantChecker`
-        (``--check-invariants``); validates heap-event monotonicity,
-        per-replica iteration-boundary monotonicity, sampler bounds,
-        and request conservation at the fleet merge.  Checks are
-        read-only, so a checked run's report is byte-identical too.
+        Optional :class:`~repro.obs.observer.RunObserver`, attached to
+        every engine the factory returns.  It enables lifecycle tracing,
+        fleet-event markers, periodic gauge sampling, iteration logs,
+        and — when it carries a checker (``--check-invariants``) — the
+        runtime sanitizer: KV audits per replica, plus heap-event and
+        iteration-boundary monotonicity, sampler bounds, and request
+        conservation at the fleet merge here.  Observation and checks
+        are passive — an observed run's report is byte-identical to an
+        unobserved one's.
     """
 
     def __init__(
@@ -122,7 +122,6 @@ class FleetSimulator:
         max_sim_time_s: float = 7200.0,
         max_iterations: int = 2_000_000,
         observer=None,
-        invariants=None,
         metrics_mode: str = "exact",
     ) -> None:
         if num_replicas < 1:
@@ -134,11 +133,13 @@ class FleetSimulator:
         self.requests = requests if hasattr(requests, "iter_chunks") else list(requests)
         self.metrics_mode = metrics_mode
         self.router = router
-        # Observability (repro.obs): fleet-level markers go straight to
-        # the collector; gauge ticks fire lazily from the event loop.
+        # Observability (repro.obs): engines get the observer's
+        # per-replica watcher; fleet-level markers go straight to the
+        # collector; gauge ticks fire lazily from the event loop.
+        self._observer = observer
         self._obs = observer.collector if observer is not None else None
         self._sampler = observer.sampler if observer is not None else None
-        self._inv = invariants
+        self._inv = observer.checker if observer is not None else None
         self.autoscaler = (
             Autoscaler(autoscaler_config) if autoscaler_config is not None else None
         )
@@ -181,9 +182,16 @@ class FleetSimulator:
             observer.bind_fleet(self)
 
     # ------------------------------------------------------------------
-    def _spawn(self, index: int, available_at: float) -> Replica:
+    def _build(self, index: int) -> tuple[SimulatedEngine, Scheduler]:
+        """A fresh engine + scheduler pair for replica ``index``, watched."""
         engine, scheduler = self.replica_factory(index)
-        return Replica(index, engine, scheduler, available_at=available_at)
+        observer = self._observer
+        if observer is not None:
+            observer.attach_engine(engine, index)
+        return engine, scheduler
+
+    def _spawn(self, index: int, available_at: float) -> Replica:
+        return Replica(index, *self._build(index), available_at=available_at)
 
     def _routable(self, now: float) -> list[Replica]:
         # Promote finished warm-ups (spawn order, so nondecreasing
@@ -347,8 +355,7 @@ class FleetSimulator:
         self._remove_from_pool(replica)
         if replica in self._warming:
             self._warming.remove(replica)
-        engine, scheduler = self.replica_factory(replica.index)
-        victims = replica.crash(engine, scheduler)
+        victims = replica.crash(*self._build(replica.index))
         # Sessions homed here lost their prefix KV; sticky routers must
         # re-home them (the PR 4 affinity state is rolled back).
         self.router.forget_replica(replica.index)

@@ -267,23 +267,6 @@ class AdaServeScheduler(Scheduler):
         self.engine.account_scheduling(sched_s)
         self.engine.iterations += 1
 
-        if self.engine.telemetry is not None:
-            from repro.serving.telemetry import IterationRecord
-
-            self.engine.telemetry.record(
-                IterationRecord(
-                    time_s=now,
-                    kind="speculative",
-                    batch_size=n,
-                    latency_s=latency,
-                    tokens_committed=result.total_generated,
-                    depth=d,
-                    width=w,
-                    budget_used=result.selection.budget_used,
-                    tokens_accepted=result.total_accepted,
-                )
-            )
-
         end = now + latency
         for req, outcome in zip(batch, result.outcomes):
             req.verify_steps += 1
@@ -301,6 +284,7 @@ class AdaServeScheduler(Scheduler):
                 self.running.append(req)
         obs = self.engine.obs
         if obs is not None:
+            obs.speculative_iteration(now, n, latency, d, w, result)
             for req, tokens in chunks:
                 obs.prefill(now, latency, req, tokens)
         return latency

@@ -69,11 +69,6 @@ class SelectionResult:
         """Unspent verification budget."""
         return self.budget - self.budget_used
 
-    @property
-    def all_slo_satisfied(self) -> bool:
-        """Whether every request reached its capped requirement."""
-        return all(s.slo_satisfied for s in self.selections)
-
 
 class _Frontier:
     """Max-heap of selectable nodes for one candidate tree.

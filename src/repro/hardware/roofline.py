@@ -171,17 +171,6 @@ class RooflineModel:
         cache[key] = total
         return total
 
-    def decode_latency(self, batch_size: int, context_tokens: int = 0) -> float:
-        """Latency of a plain autoregressive decode step (one token/request)."""
-        return self.forward_latency(batch_size, context_tokens)
-
-    def prefill_latency(self, prompt_tokens: int) -> float:
-        """Latency to prefill ``prompt_tokens`` in one pass.
-
-        Attention context during prefill averages half the prompt length.
-        """
-        return self.forward_latency(prompt_tokens, prompt_tokens // 2)
-
     @property
     def baseline_decode_latency(self) -> float:
         """Decode latency at near-zero load (batch of one, empty cache).

@@ -1,12 +1,18 @@
 """Observability: request lifecycle traces, fleet gauges, exporters.
 
 The subsystem is strictly passive and opt-in: nothing here mutates
-simulation state, every emission site in the serving core is guarded by
-an ``if obs is not None`` check (one attribute test when disabled), and
-the :class:`~repro.obs.spec.ObsSpec` section never enters a spec's cache
-key — so obs-free runs keep byte-identical golden digests and cache
-keys, and observed runs produce byte-identical *results* to unobserved
-ones (only the trace is extra).
+simulation state, and the :class:`~repro.obs.spec.ObsSpec` section never
+enters a spec's cache key — so obs-free runs keep byte-identical golden
+digests and cache keys, and observed runs produce byte-identical
+*results* to unobserved ones (only the trace is extra).
+
+Engines and schedulers have exactly one hook, ``engine.obs``: the
+per-replica :class:`~repro.obs.trace.ReplicaTracer` that the fleet
+driver attaches from a :class:`~repro.obs.observer.RunObserver`.  It
+serves the lifecycle trace, the AdaServe iteration log and the runtime
+invariant sanitizer's KV audits (:mod:`repro.check.invariants`); every
+site is guarded by an ``if obs is not None`` check (one attribute test
+when disabled).
 
 Entry points:
 

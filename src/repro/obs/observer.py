@@ -1,20 +1,22 @@
 """Run-scoped observability bundle.
 
 :class:`RunObserver` owns everything one observed run collects — the
-trace collector, the gauge sampler, and per-replica iteration logs — and
-knows how to attach them to the simulation topology:
+trace collector, the gauge sampler, per-replica iteration logs, and
+optionally the runtime invariant sanitizer — and knows how to attach
+them to the simulation topology:
 
-- :meth:`attach_engine` is called from the harness's replica factory for
-  every engine built (initial fleet, autoscaled additions, and
-  crash-replacement engines alike), installing a per-replica
-  :class:`~repro.obs.trace.ReplicaTracer` as ``engine.obs`` and, when
-  requested, an :class:`~repro.serving.telemetry.IterationLog` as
-  ``engine.telemetry``.  Iteration logs are keyed by replica index so a
-  crash-replacement engine appends to the same log its predecessor used;
+- :meth:`attach_engine` is called by the fleet driver for every engine
+  its replica factory builds (initial fleet, autoscaled additions, and
+  crash-replacement engines alike), installing one per-replica
+  :class:`~repro.obs.trace.ReplicaTracer` as ``engine.obs``.  That
+  watcher emits trace events, records iteration logs and runs KV audits
+  for whichever of the three are on.  Iteration logs are keyed by
+  replica index so a crash-replacement engine appends to the same log
+  its predecessor used;
 - :meth:`bind_fleet` installs the sampler's state-capture callback for
   the fleet loop, which drives single-engine runs too (as one replica).
 
-Attachment is the only side effect; collection itself never touches
+Attachment is the only side effect; collection and checking never touch
 simulation state, so observed runs stay byte-identical to unobserved
 ones.
 """
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 from repro.obs.sampler import GaugeSampler, Sample
 from repro.obs.spec import ObsSpec
-from repro.obs.trace import TraceCollector
+from repro.obs.trace import ReplicaTracer, TraceCollector
 from repro.serving.telemetry import IterationLog
 
 
@@ -33,7 +35,14 @@ def _prefix_blocks(kv) -> int:
 
 
 class RunObserver:
-    """Collector + sampler + iteration logs for one observed run."""
+    """Collector + sampler + iteration logs + sanitizer for one run.
+
+    ``checker`` is an optional
+    :class:`~repro.check.invariants.InvariantChecker`
+    (``--check-invariants``): the fleet driver runs its event-order,
+    sampler and conservation checks, and each replica's watcher its KV
+    audits.
+    """
 
     def __init__(
         self,
@@ -41,6 +50,7 @@ class RunObserver:
         sample_every_s: float = 0.5,
         iteration_log: bool = False,
         sample_capacity: int = 4096,
+        checker=None,
     ) -> None:
         self.collector: TraceCollector | None = TraceCollector() if trace else None
         self.sampler: GaugeSampler | None = (
@@ -49,6 +59,7 @@ class RunObserver:
         self.iteration_logs: dict[int, IterationLog] | None = (
             {} if iteration_log else None
         )
+        self.checker = checker
 
     @classmethod
     def from_spec(cls, spec: ObsSpec) -> "RunObserver":
@@ -63,11 +74,12 @@ class RunObserver:
     # Topology attachment
     # ------------------------------------------------------------------
     def attach_engine(self, engine, replica: int) -> None:
-        """Instrument one freshly built engine for replica ``replica``."""
-        if self.collector is not None:
-            engine.obs = self.collector.tracer(replica)
-        if self.iteration_logs is not None:
-            engine.telemetry = self.iteration_logs.setdefault(replica, IterationLog())
+        """Watch one freshly built engine as replica ``replica``."""
+        logs = self.iteration_logs
+        if self.collector is None and logs is None and self.checker is None:
+            return
+        log = logs.setdefault(replica, IterationLog()) if logs is not None else None
+        engine.obs = ReplicaTracer(self.collector, replica, log, self.checker, engine.kv)
 
     def bind_fleet(self, fleet) -> None:
         """Sampler capture for the fleet loop (live replica list)."""

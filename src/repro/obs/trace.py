@@ -45,6 +45,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.serving.telemetry import IterationRecord
+
 #: Sentinel replica index for fleet-scoped events (control plane, chaos
 #: markers without a single victim).  Exporters render these on a
 #: dedicated "fleet" track instead of a replica track.
@@ -135,22 +137,43 @@ class TraceCollector:
 
 
 class ReplicaTracer:
-    """Per-replica emitter installed as ``engine.obs``.
+    """Per-replica watcher installed as ``engine.obs``.
 
-    The engine and scheduler base call these methods only behind
-    ``if obs is not None`` guards, so disabled runs pay a single
-    attribute check per site.  ``now`` is refreshed by
-    :meth:`~repro.cluster.replica.Replica.step` at each iteration
-    boundary, giving emission sites that have no time parameter of their
-    own (preemption, prefix lookups) the iteration start time.
+    The one hook on engines and schedulers: every call site is
+    ``obs = ...obs; if obs is not None: obs.<event>(...)``, so an
+    unwatched run pays one attribute check per site.  A watcher serves
+    up to three passive subscribers, each optional:
+
+    - lifecycle trace events, appended to a :class:`TraceCollector`;
+    - one :class:`~repro.serving.telemetry.IterationRecord` per AdaServe
+      speculative iteration, appended to an iteration log;
+    - a KV audit (:meth:`~repro.check.invariants.InvariantChecker.check_kv`
+      over the KV manager bound at attach time) after admit, evacuate,
+      retire, decode admission, finish and preemption.
+
+    ``now`` is refreshed by :meth:`~repro.cluster.replica.Replica.step`
+    at each iteration boundary, giving emission sites that have no time
+    parameter of their own (preemption, prefix lookups) the iteration
+    start time.
     """
 
-    __slots__ = ("_events", "replica", "now")
+    __slots__ = ("_events", "replica", "now", "log", "_checker", "_kv")
 
-    def __init__(self, collector: TraceCollector, replica: int) -> None:
-        self._events = collector.events
+    def __init__(
+        self,
+        collector: TraceCollector | None,
+        replica: int,
+        log=None,
+        checker=None,
+        kv=None,
+    ) -> None:
+        self._events = collector.events if collector is not None else None
         self.replica = replica
         self.now = 0.0
+        #: Iteration log (a repro.serving.telemetry IterationLog) or None.
+        self.log = log
+        self._checker = checker
+        self._kv = kv
 
     def _emit(
         self,
@@ -160,20 +183,49 @@ class ReplicaTracer:
         dur: float | None = None,
         data: dict | None = None,
     ) -> None:
-        self._events.append(TraceEvent(t, kind, self.replica, rid, dur, data))
+        events = self._events
+        if events is not None:
+            events.append(TraceEvent(t, kind, self.replica, rid, dur, data))
+
+    def audit(self, event: str, rid: int | None = None) -> None:
+        """KV audit after a lifecycle event (when a checker is on)."""
+        checker = self._checker
+        if checker is not None:
+            checker.check_kv(self._kv, event, replica=self.replica, rid=rid)
 
     # -- lifecycle -------------------------------------------------------
     def enqueue(self, t: float, req) -> None:
         """Request entered this replica's waiting queue."""
         data = {"failover_count": req.failover_count} if req.failover_count else None
         self._emit(t, "enqueue", req.rid, data=data)
+        self.audit("admit", req.rid)
 
     def prefill(self, t: float, dur: float, req, tokens: int) -> None:
         """One prefill pass advanced ``req`` by ``tokens`` prompt tokens."""
         self._emit(t, "prefill", req.rid, dur, {"tokens": tokens, "prefilled": req.prefilled})
 
+    def speculative_iteration(
+        self, t: float, batch_size: int, latency: float, depth: int, width: int, result
+    ) -> None:
+        """One AdaServe speculate-select-verify iteration (iteration log)."""
+        log = self.log
+        if log is not None:
+            log.record(
+                IterationRecord(
+                    time_s=t,
+                    kind="speculative",
+                    batch_size=batch_size,
+                    latency_s=latency,
+                    tokens_committed=result.total_generated,
+                    depth=depth,
+                    width=width,
+                    budget_used=result.selection.budget_used,
+                    tokens_accepted=result.total_accepted,
+                )
+            )
+
     def finish(self, req) -> None:
-        """Request completed: emit its coalesced decode span + finish mark."""
+        """Request completed, KV freed: coalesced decode span + finish mark."""
         if req.decode_start is not None and req.last_token_time is not None:
             self._emit(
                 req.decode_start,
@@ -183,10 +235,12 @@ class ReplicaTracer:
                 {"tokens": req.n_generated},
             )
         self._emit(req.finish_time, "finish", req.rid, data={"tokens": req.n_generated})
+        self.audit("finish", req.rid)
 
     def preempt(self, req, drop_kv: bool) -> None:
         """KV-pressure preemption at the current iteration boundary."""
         self._emit(self.now, "preempt", req.rid, data={"drop_kv": drop_kv})
+        self.audit("preempt", req.rid)
 
     # -- prefix cache ----------------------------------------------------
     def prefix_lookup(self, req, tokens: int) -> None:

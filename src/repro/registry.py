@@ -242,10 +242,6 @@ class Component:
             f"declared parameters: {[p.name for p in self.params] or 'none'}"
         )
 
-    @property
-    def param_names(self) -> tuple[str, ...]:
-        return tuple(p.name for p in self.params)
-
 
 @dataclass(frozen=True)
 class Resolved:

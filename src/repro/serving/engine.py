@@ -122,23 +122,17 @@ class SimulatedEngine:
         )
         self.phase_times = PhaseTimes()
         self.iterations = 0
-        #: Optional per-iteration log (see repro.serving.telemetry).
-        self.telemetry = None
-        #: Optional lifecycle tracer (a repro.obs ReplicaTracer).  Every
-        #: emission site is guarded by ``is not None``, so disabled runs
-        #: pay one attribute check and tracing never mutates state.
+        #: Optional per-replica watcher (a repro.obs ReplicaTracer): the
+        #: one hook for lifecycle traces, the iteration log and the
+        #: invariant sanitizer's KV audits.  Every site is guarded by
+        #: ``is not None``, so unwatched runs pay one attribute check,
+        #: and watching never mutates state.
         self.obs = None
         #: Latency multiplier for every executed step (> 1 models a
         #: degraded "straggler" replica; see repro.chaos).  Guarded at
         #: each use so the healthy value of 1.0 performs zero extra
         #: float operations and stays bit-identical to pre-chaos runs.
         self.slow_factor = 1.0
-        #: Optional runtime invariant sanitizer (a repro.check bound
-        #: checker; see ``--check-invariants``).  Same gating contract
-        #: as ``obs``: None by default, every hook guarded, checks are
-        #: read-only — a checked run is byte-identical to an unchecked
-        #: one.
-        self.inv = None
 
     # ------------------------------------------------------------------
     # Context synthesis
@@ -197,10 +191,6 @@ class SimulatedEngine:
         self.phase_times.prefill_s += latency
         self.iterations += 1
         return latency
-
-    def prefill_chunk_cost(self, tokens: int, context_tokens: int = 0) -> float:
-        """Marginal compute seconds of co-batching a prefill chunk."""
-        return tokens * self.target_roofline.compute_seconds_per_token
 
     # ------------------------------------------------------------------
     # Plain autoregressive decode
@@ -360,21 +350,17 @@ class SimulatedEngine:
         """
         if req.state != RequestState.FINISHED:
             raise ValueError(f"request {req.rid} not finished")
-        if self.obs is not None:
-            self.obs.finish(req)
         self._commit_prefix(req, req.prompt_len + req.n_generated)
         self.kv.free(req.rid)
-        inv = self.inv
-        if inv is not None:
-            inv.kv(self.kv, "finish", req.rid)
+        obs = self.obs
+        if obs is not None:
+            obs.finish(req)
 
     def preempt(self, req: Request, drop_kv: bool) -> None:
         """Preempt a request, optionally evicting its KV."""
-        if self.obs is not None:
-            self.obs.preempt(req, drop_kv)
         req.preempt(drop_kv)
         if drop_kv:
             self.kv.free(req.rid)
-        inv = self.inv
-        if inv is not None:
-            inv.kv(self.kv, "preempt", req.rid)
+        obs = self.obs
+        if obs is not None:
+            obs.preempt(req, drop_kv)

@@ -62,10 +62,6 @@ class Scheduler(abc.ABC):
         #: :meth:`_ensure_kv_for_decode` call — the decode context the
         #: engine would otherwise re-sum.
         self._last_decode_context = 0
-        #: Optional runtime invariant sanitizer (see repro.check and
-        #: ``--check-invariants``); same None-by-default guarded-hook
-        #: contract as ``engine.obs``.
-        self.inv = None
 
     # ------------------------------------------------------------------
     # Simulator-facing interface
@@ -74,9 +70,6 @@ class Scheduler(abc.ABC):
         """A request arrived; queue it."""
         req.on_finish = self._note_finished
         self.waiting.append(req)
-        inv = self.inv
-        if inv is not None:
-            inv.kv(self.engine.kv, "admit", req.rid)
 
     def _note_finished(self, req: Request) -> None:
         """Finish hook: every commit site runs while the request is in
@@ -177,9 +170,9 @@ class Scheduler(abc.ABC):
         self.running = []
         self._finished_in_running = 0
         self._last_decode_context = 0
-        inv = self.inv
-        if inv is not None:
-            inv.kv(self.engine.kv, "evacuate")
+        obs = self.engine.obs
+        if obs is not None:
+            obs.audit("evacuate")
         return victims
 
     # ------------------------------------------------------------------
@@ -202,9 +195,9 @@ class Scheduler(abc.ABC):
                 still_running.append(req)
         self.running = still_running
         self._finished_in_running = 0
-        inv = self.inv
-        if inv is not None:
-            inv.kv(self.engine.kv, "retire")
+        obs = self.engine.obs
+        if obs is not None:
+            obs.audit("retire")
 
     def _admit_capacity(self) -> int:
         """Decode slots available for newly prefilled requests."""
@@ -324,9 +317,9 @@ class Scheduler(abc.ABC):
                     if victim is req:
                         break
         self._last_decode_context = context_tokens
-        inv = self.inv
-        if inv is not None:
-            inv.kv(kv, "decode-admission")
+        obs = self.engine.obs
+        if obs is not None:
+            obs.audit("decode-admission")
         return survivors
 
     @staticmethod

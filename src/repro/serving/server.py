@@ -56,7 +56,7 @@ class ServingSimulator:
 
     A thin front for :class:`~repro.cluster.fleet.FleetSimulator` with one
     replica, so single-engine and fleet runs share one event loop (and
-    its safety horizon, observation, and invariant hooks).  The report is
+    its safety horizon, observation, and invariant checks).  The report is
     the replica's: the bare scheduler name and no chaos section.
 
     Parameters
@@ -73,16 +73,11 @@ class ServingSimulator:
     max_iterations:
         Safety cap on scheduler iterations.
     observer:
-        Optional :class:`~repro.obs.observer.RunObserver`; enables
-        lifecycle tracing + periodic gauge sampling.  Observation is
-        passive — an observed run's report is byte-identical to an
-        unobserved one's.
-    invariants:
-        Optional :class:`~repro.check.invariants.InvariantChecker`
-        (``--check-invariants``); validates event-time and iteration
-        boundary monotonicity, sampler bounds, and request conservation
-        during the run.  Checks are read-only: a checked run's report is
-        byte-identical too.
+        Optional :class:`~repro.obs.observer.RunObserver`, attached to
+        ``engine`` by the fleet driver: lifecycle tracing, gauge
+        sampling, the iteration log, and — when it carries a checker —
+        the runtime invariant sanitizer.  Observation is passive — an
+        observed run's report is byte-identical to an unobserved one's.
     """
 
     def __init__(
@@ -93,7 +88,6 @@ class ServingSimulator:
         max_sim_time_s: float = 7200.0,
         max_iterations: int = 2_000_000,
         observer=None,
-        invariants=None,
         metrics_mode: str = "exact",
     ) -> None:
         # Replica makes the same check, but only once run() builds it;
@@ -106,7 +100,6 @@ class ServingSimulator:
         self.max_sim_time_s = max_sim_time_s
         self.max_iterations = max_iterations
         self.observer = observer
-        self.invariants = invariants
         self.metrics_mode = metrics_mode
 
     def run(self) -> SimulationReport:
@@ -124,7 +117,6 @@ class ServingSimulator:
             max_sim_time_s=self.max_sim_time_s,
             max_iterations=self.max_iterations,
             observer=self.observer,
-            invariants=self.invariants,
             metrics_mode=self.metrics_mode,
         )
         return fleet.run().replica_reports[0]

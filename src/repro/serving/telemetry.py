@@ -7,12 +7,12 @@ append one record per iteration, and analysis code (the
 ``adaptive_speculation`` example, ablations) reads time series from it
 without monkey-patching scheduler internals.
 
-Recording is opt-in (``engine.telemetry = IterationLog()``): the hot loop
-pays nothing when disabled.  The observability layer wires this up for
-you: a :class:`~repro.obs.observer.RunObserver` with ``iteration_log``
-set attaches one log per replica (crash-replacement engines append to
-their predecessor's log), and ``repro trace --iteration-log`` exports
-the records under ``--series-out``.
+Recording is opt-in and rides the one per-replica watcher
+(``engine.obs``): pass a :class:`~repro.obs.observer.RunObserver` with
+``iteration_log`` set to the simulator, and the fleet driver attaches one
+log per replica (crash-replacement engines append to their predecessor's
+log); ``repro trace --iteration-log`` exports the records under
+``--series-out``.  Unwatched runs pay nothing.
 """
 
 from __future__ import annotations

@@ -21,10 +21,12 @@ import pytest
 from repro.analysis.export import report_to_json
 from repro.analysis.runner import run_spec, run_traced
 from repro.analysis.spec import ExperimentSpec
+from repro.check.invariants import InvariantChecker
 from repro.obs import (
     FLEET_TRACK,
     GaugeSampler,
     ObsSpec,
+    RunObserver,
     TraceCollector,
     format_slowest_table,
     perfetto_json,
@@ -201,6 +203,72 @@ class TestObservationInvariance:
 
         got = hashlib.sha256(report_to_json(report).encode("utf-8")).hexdigest()
         assert got == want == _digest(_spec(**kw))
+
+
+class TestOneWatcherPerReplica:
+    """The fleet driver attaches the observer's watcher to every engine."""
+
+    def test_direct_simulator_is_watched_like_run_spec(self):
+        # Regression: an observer handed straight to ServingSimulator used
+        # to collect no lifecycle events and skip every KV audit.
+        from repro.analysis.harness import build_setup, make_scheduler
+        from repro.analysis.runner import build_workload
+        from repro.serving.server import ServingSimulator
+
+        spec = _spec(system="vllm", rps=5.0, duration_s=5.0, trace="bursty")
+        setup = build_setup(spec.system.model, seed=spec.workload.seed)
+        engine = setup.build_engine()
+        direct = RunObserver(trace=True, checker=InvariantChecker())
+        ServingSimulator(
+            engine,
+            make_scheduler(spec.system.name, engine),
+            build_workload(setup, spec),
+            max_sim_time_s=spec.system.max_sim_time_s,
+            observer=direct,
+        ).run()
+
+        checker = InvariantChecker()
+        via_spec = RunObserver(trace=True)
+        run_spec(spec, observer=via_spec, invariants=checker)
+
+        assert len(via_spec.collector) > 0
+        assert direct.collector.events == via_spec.collector.events
+        assert direct.checker.checks == checker.checks
+
+    def test_all_watchers_at_once_under_chaos(self):
+        # The CI chaos scenario: crash-replacement engines get watchers too.
+        kw = dict(
+            system="vllm",
+            rps=14.0,
+            duration_s=20.0,
+            trace="sessions:turns=5,think_time=2.0",
+            prefix_cache=True,
+            replicas=4,
+            router="prefix-affinity",
+            faults=(
+                "crash:at=6,replica=1,restart=4",
+                "crash:at=12,replica=2,restart=4",
+            ),
+        )
+        plain = report_to_json(run_spec(_spec(**kw)))
+        watched = _spec(**kw, obs=ObsSpec(trace=True, iteration_log=True))
+        checker = InvariantChecker()
+        report, observer = run_traced(watched, invariants=checker)
+        unchecked_report, unchecked = run_traced(watched)
+
+        assert report_to_json(report) == plain
+        assert checker.checks > 0
+        # Replica 1 restarts at t=10 on its replacement engine.
+        assert any(
+            e.replica == 1 and e.t > 10.0 for e in observer.collector.of_kind("finish")
+        )
+        assert perfetto_json(
+            observer.collector, observer.sampler, chaos=report.chaos
+        ) == perfetto_json(
+            unchecked.collector, unchecked.sampler, chaos=unchecked_report.chaos
+        )
+        assert sorted(observer.iteration_logs) == [0, 1, 2, 3]
+        assert series_to_json(observer) == series_to_json(unchecked)
 
 
 class TestDeterminism:

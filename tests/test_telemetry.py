@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.scheduler import AdaServeScheduler
+from repro.obs import RunObserver
 from repro.serving.server import ServingSimulator
 from repro.serving.telemetry import IterationLog, IterationRecord
 from tests.conftest import make_request
@@ -65,16 +66,16 @@ class TestLog:
 
 class TestEngineIntegration:
     def test_disabled_by_default(self, engine):
-        assert engine.telemetry is None
+        assert engine.obs is None
 
     def test_adaserve_records_iterations(self, engine):
-        engine.telemetry = IterationLog()
+        observer = RunObserver(trace=False, iteration_log=True)
         reqs = [
             make_request(rid=i, arrival=0.05 * i, prompt_len=20, max_new_tokens=6)
             for i in range(5)
         ]
-        ServingSimulator(engine, AdaServeScheduler(engine), reqs).run()
-        log = engine.telemetry
+        ServingSimulator(engine, AdaServeScheduler(engine), reqs, observer=observer).run()
+        log = observer.iteration_logs[0]
         spec = log.of_kind("speculative")
         assert spec
         for r in spec:
@@ -86,20 +87,17 @@ class TestEngineIntegration:
             assert 0 <= r.tokens_accepted <= r.tokens_committed
 
     def test_times_monotone(self, engine):
-        engine.telemetry = IterationLog()
+        observer = RunObserver(trace=False, iteration_log=True)
         reqs = [make_request(rid=0, prompt_len=10, max_new_tokens=12)]
-        ServingSimulator(engine, AdaServeScheduler(engine), reqs).run()
-        times = [r.time_s for r in engine.telemetry.records]
+        ServingSimulator(engine, AdaServeScheduler(engine), reqs, observer=observer).run()
+        times = [r.time_s for r in observer.iteration_logs[0].records]
         assert times == sorted(times)
 
     def test_observer_attaches_log(self, engine):
-        # The obs layer wires the (formerly manual) IterationLog without
-        # the caller touching engine.telemetry.
-        from repro.obs import RunObserver
-
+        # The simulator attaches the observer's IterationLog to the
+        # engine's watcher without the caller touching the engine.
         observer = RunObserver(trace=False, iteration_log=True)
-        observer.attach_engine(engine, replica=0)
-        assert engine.telemetry is observer.iteration_logs[0]
         reqs = [make_request(rid=0, prompt_len=10, max_new_tokens=12)]
-        ServingSimulator(engine, AdaServeScheduler(engine), reqs).run()
+        ServingSimulator(engine, AdaServeScheduler(engine), reqs, observer=observer).run()
+        assert engine.obs.log is observer.iteration_logs[0]
         assert len(observer.iteration_logs[0]) > 0
