@@ -33,11 +33,11 @@ def single_iteration_demo() -> None:
     ]
     result = run_iteration(pair, items, depth=4, width=3, budget=16)
 
-    for i, (item, sel, out) in enumerate(
-        zip(items, result.selection.selections, result.outcomes)
+    for i, (item, tree, sel, out) in enumerate(
+        zip(items, result.speculation.trees, result.selection.selections, result.outcomes)
     ):
         print(f"\nrequest {i}: A(r) = {item.requirement}")
-        print(f"  candidate tree: {sel.tree.size - 1} speculated tokens (beam d=4, w=3)")
+        print(f"  candidate tree: {tree.num_speculated} speculated tokens (beam d=4, w=3)")
         print(
             f"  selected {sel.num_selected} tokens "
             f"({sel.slo_tokens} for the SLO, {sel.throughput_tokens} for throughput), "

@@ -8,6 +8,15 @@ speculative decoding iteration for a batch of requests:
 3. verification: the target model walks each selected tree, accepting a
    path and emitting a correction token.
 
+With numpy, speculation hands selection a
+:class:`~repro.core.tree.CandidateForest` of arrays, and tree nodes are
+created only for the selected candidates: each request's selected
+subtree goes straight to :func:`~repro.model.acceptance.verify_tree`.
+Without numpy the scalar oracle runs instead: full candidate trees,
+heap selection, then ``extract_selected`` copies the selected subtree.
+Each phase is reached through this module's ``speculate_batch``,
+``select_tokens`` and ``verify_tree`` names.
+
 It deliberately performs *no latency modeling* — it returns the token
 counts the scheduler needs to price the iteration with the roofline model
 (draft step shapes, verification tokens), plus the *measured* CPU time of
@@ -23,6 +32,7 @@ from dataclasses import dataclass
 
 from repro.core.selection import DEFAULT_N_MAX, SelectionResult, select_tokens
 from repro.core.speculation import SpeculationResult, speculate_batch
+from repro.core.tree import CandidateForest
 from repro.model.acceptance import verify_tree
 from repro.model.pair import ModelPair
 
@@ -109,7 +119,7 @@ def run_iteration(
     # Steps 2-3: selection (timed; this is the CPU-side scheduling work).
     t0 = time.perf_counter()  # repro: allow[RPD002] reason: measures real CPU cost of selection; never enters simulated time (schedulers price scheduling deterministically from candidates_scanned)
     selection = select_tokens(
-        spec.trees,
+        spec.candidates,
         [it.requirement for it in items],
         budget=budget,
         n_max=n_max,
@@ -120,8 +130,10 @@ def run_iteration(
     # Step 4: verification.
     outcomes: list[RequestOutcome] = []
     verify_tokens = 0
+    from_forest = isinstance(spec.candidates, CandidateForest)
     for item, sel in zip(items, selection.selections):
-        draft_tree = sel.tree.extract_selected()
+        # A forest's selection already holds only the selected subtree.
+        draft_tree = sel.tree if from_forest else sel.tree.extract_selected()
         verify_tokens += draft_tree.num_speculated
         accepted_nodes, correction, new_ctx = verify_tree(
             pair, draft_tree.root, center=item.center

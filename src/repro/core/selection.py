@@ -15,14 +15,27 @@ budget B:
    all requests.
 
 Both phases pick nodes from a *frontier heap* per tree: a node becomes a
-candidate only once its parent is selected.  Because conditional draft
-probabilities are < 1, a node's path probability is strictly below its
-parent's, so frontier-greedy equals unrestricted-greedy while guaranteeing
-the selected set is connected (Appendix B) by construction.
+candidate only once its parent is selected.  Conditional draft
+probabilities lie in [0, 1] (``TokenTree.add_child`` accepts 1.0), so a
+node's path probability is *non-increasing* along every root path:
+frontier-greedy equals unrestricted-greedy while guaranteeing the
+selected set is connected (Appendix B) by construction.  Equal path
+probabilities pop in exposure order: within a tree, the node whose parent
+was selected first (siblings in creation order); across trees in phase 2,
+the tree whose head entered the global heap first, so trees with equal
+heads take turns.
 
 Budget semantics follow Algorithm 2: each request's root consumes one
 budget token up front (the verifier always processes the root position),
 then every selected node consumes one.
+
+:func:`select_tokens` takes either a list of trees — the heap
+implementation above, the reference oracle — or the array speculation
+path's :class:`~repro.core.tree.CandidateForest`.  On a forest the same
+pops are computed from arrays: each tree's full pop order is a sort by
+path probability (ties in exposure order), phase 1 is a running sum along
+it and phase 2 a threshold over every tree's remaining tail.  Nodes are
+then built only for the selected subtrees.
 """
 
 from __future__ import annotations
@@ -31,7 +44,8 @@ import heapq
 import itertools
 from dataclasses import dataclass
 
-from repro.core.tree import TokenTree, TreeNode
+from repro.core.tree import CandidateForest, TokenTree, TreeNode
+from repro.model import batchgen
 
 #: Default cap on tokens added per request during the SLO phase (§4.3).
 DEFAULT_N_MAX = 16
@@ -41,7 +55,7 @@ DEFAULT_N_MAX = 16
 class RequestSelection:
     """Per-request outcome of the selection phases."""
 
-    tree: TokenTree
+    tree: TokenTree  # candidate tree, selection flagged; from a forest: the selected subtree
     requirement: float  # A(r)
     capped_requirement: float  # A_cap(r)
     expected_accepted: float = 1.0  # n_acc: root's guaranteed token + sum of path probs
@@ -62,7 +76,10 @@ class SelectionResult:
     selections: list[RequestSelection]
     budget: int
     budget_used: int  # roots + selected nodes
-    candidates_scanned: int = 0  # heap operations, for CPU-overhead modeling
+    # Frontier pops, for CPU-overhead modeling.  A request whose tree runs
+    # out during the SLO phase adds one empty pop, so this can exceed
+    # the number of selected nodes.
+    candidates_scanned: int = 0
 
     @property
     def budget_remaining(self) -> int:
@@ -104,7 +121,7 @@ class _Frontier:
 
 
 def select_tokens(
-    trees: list[TokenTree],
+    trees: list[TokenTree] | CandidateForest,
     requirements: list[float],
     budget: int,
     n_max: int = DEFAULT_N_MAX,
@@ -116,7 +133,9 @@ def select_tokens(
     ----------
     trees:
         Candidate token trees, one per request.  Selection flags are reset
-        and then set in place; use ``extract_selected`` afterwards.
+        and then set in place; use ``extract_selected`` afterwards.  A
+        :class:`CandidateForest` is left unchanged: each selection's
+        ``tree`` is then its selected subtree, all nodes flagged.
     requirements:
         A(r) per request (may be negative for requests ahead of schedule).
     budget:
@@ -130,13 +149,16 @@ def select_tokens(
     Returns the per-request selections; ``tree.extract_selected()`` yields
     the draft trees for verification.
     """
-    n = len(trees)
+    forest = isinstance(trees, CandidateForest)
+    n = trees.num_trees if forest else len(trees)
     if len(requirements) != n:
         raise ValueError("requirements length must match trees")
     if budget < n:
         raise ValueError(f"budget {budget} cannot cover {n} roots")
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
+    if forest:
+        return _select_forest(trees, requirements, budget, n_max, depth)
 
     counter = itertools.count()
     scanned = 0
@@ -201,6 +223,160 @@ def select_tokens(
         if len(frontier) > 0:
             heapq.heappush(global_heap, (-frontier.peek_prob(), next(counter), i))
 
+    return SelectionResult(
+        selections=selections,
+        budget=budget,
+        budget_used=budget - remaining,
+        candidates_scanned=scanned,
+    )
+
+
+def _pop_order(forest: CandidateForest):
+    """Each tree's full frontier-heap pop order and the path probabilities along it.
+
+    Returns ``(order, values)``: ``order[i]`` indexes row ``i``'s columns
+    1..N and ``values[i]`` is non-increasing.
+
+    Path probabilities are non-increasing along root paths, so popping a
+    whole tree visits its nodes by descending path probability, ties in
+    exposure order: key (-path_prob, pop rank of the parent, creation
+    index).  A stable sort of -path_prob gives that order for every tree
+    without ties.  A tree with ties is re-sorted with its parents' ranks
+    from the previous pass; pass ``L`` fixes the order of nodes down to
+    depth ``L + 1``, so ``depth - 1`` passes suffice.
+    """
+    np = batchgen._np
+    neg = -forest.path_prob[:, 1:]
+    order = np.argsort(neg, axis=1, kind="stable")
+    ranked = neg[np.arange(neg.shape[0])[:, None], order]
+    tied = np.flatnonzero((ranked[:, 1:] == ranked[:, :-1]).any(axis=1))
+    if tied.size and forest.depth > 1:
+        neg, parent, sub = neg[tied], forest.parent[tied, 1:], order[tied]
+        rank = np.full((tied.size, neg.shape[1] + 1), -1, dtype=np.intp)  # root: -1
+        for _ in range(forest.depth - 1):
+            np.put_along_axis(rank[:, 1:], sub, np.arange(neg.shape[1]), axis=1)
+            sub = np.lexsort((np.take_along_axis(rank, parent, axis=1), neg), axis=1)
+        order[tied] = sub  # tied values: the sorted values stay the same
+    return order, -ranked
+
+
+def _throughput_counts(values, start: list[int], take: int) -> list[int]:
+    """Nodes each tree gives up to phase 2's global greedy.
+
+    ``values`` holds each tree's path probabilities in pop order (rows
+    non-increasing) and ``start[i]`` how many of them phase 1 took.  The
+    first ``take`` elements of the merged tails are every tail element
+    above the ``take``-th largest value ``cut`` plus some equal to it.
+    When one tree holds every ``cut`` or all of them are taken, counts
+    follow directly; otherwise the heap's round-robin among equal heads
+    decides, so the merge is replayed.
+    """
+    np = batchgen._np
+    n, size = values.shape
+    tail = np.arange(size) >= np.array(start, dtype=np.intp)[:, None]
+    flat = values[tail]
+    if take >= flat.size:
+        return [size - s for s in start]
+    if take == 0:
+        return [0] * n
+    cut = np.partition(flat, flat.size - take)[flat.size - take]
+    counts = ((values > cut) & tail).sum(axis=1)
+    ties = ((values == cut) & tail).sum(axis=1)
+    short = take - int(counts.sum())
+    tied = np.flatnonzero(ties)
+    if tied.size == 1:
+        counts[tied] += short
+    elif short == int(ties.sum()):
+        counts += ties
+    else:
+        return _merge_counts(values.tolist(), start, take)
+    return counts.tolist()
+
+
+def _merge_counts(rows: list[list[float]], start: list[int], take: int) -> list[int]:
+    """Replay phase 2's global heap over each row's tail ``rows[i][start[i]:]``."""
+    counter = itertools.count()
+    heap = [
+        (-row[s], next(counter), i) for i, (row, s) in enumerate(zip(rows, start)) if s < len(row)
+    ]
+    heapq.heapify(heap)
+    head = list(start)
+    while take and heap:
+        _, _, i = heapq.heappop(heap)
+        head[i] += 1
+        take -= 1
+        if head[i] < len(rows[i]):
+            heapq.heappush(heap, (-rows[i][head[i]], next(counter), i))
+    return [h - s for h, s in zip(head, start)]
+
+
+def _select_forest(
+    forest: CandidateForest,
+    requirements: list[float],
+    budget: int,
+    n_max: int,
+    depth: int | None,
+) -> SelectionResult:
+    """:func:`select_tokens` on a forest: the oracle's pops, from arrays.
+
+    Both phases pop from the front of each tree's fixed pop order, so a
+    selection is a count per tree.  ``n_acc`` is the running sum along
+    that order starting at 1.0 (``cumsum`` adds left to right, like the
+    oracle's ``+=``), phase 1 is a count of prefix sums below A_cap(r)
+    rationed by the shared budget, and phase 2 is
+    :func:`_throughput_counts`.
+    """
+    np = batchgen._np
+    n, size = forest.num_trees, forest.num_nodes
+    depths = forest.depths if depth is None else [depth] * n
+    caps = [min(req, float(d + 1)) for req, d in zip(requirements, depths)]
+    order, values = _pop_order(forest)
+    n_acc = np.cumsum(np.concatenate((np.ones((n, 1)), values), axis=1), axis=1)
+    below = (n_acc < np.array(caps, dtype=np.float64)[:, None]).sum(axis=1).tolist()
+
+    # ---- Phase 1: SLO-customized selection (descending A(r)). ----
+    remaining = budget - n
+    slo = [0] * n
+    scanned = 0
+    for i in sorted(range(n), key=requirements.__getitem__, reverse=True):
+        k = min(below[i], n_max, size, remaining)
+        slo[i] = k
+        remaining -= k
+        # An SLO loop still running after the tree is exhausted pops once more, empty.
+        scanned += k + (below[i] > size and n_max > size and remaining > 0)
+    rows = np.arange(n)
+    at_slo = n_acc[rows, slo].tolist()
+
+    # ---- Phase 2: throughput-optimized selection (global greedy). ----
+    extra = _throughput_counts(values, slo, remaining)
+    taken = [a + b for a, b in zip(slo, extra)]
+    spent = sum(extra)
+    scanned += spent
+    remaining -= spent
+
+    keep = np.zeros((n, size), dtype=bool)
+    keep[rows[:, None], order] = np.arange(size) < np.array(taken)[:, None]
+    subtrees = forest.build(keep, selected=True)
+    selections = [
+        RequestSelection(
+            tree=tree,
+            requirement=req,
+            capped_requirement=cap,
+            expected_accepted=acc,
+            slo_tokens=k,
+            throughput_tokens=t,
+            slo_satisfied=reached >= cap,
+        )
+        for tree, req, cap, acc, k, t, reached in zip(
+            subtrees,
+            requirements,
+            caps,
+            n_acc[rows, taken].tolist(),
+            slo,
+            extra,
+            at_slo,
+        )
+    ]
     return SelectionResult(
         selections=selections,
         budget=budget,

@@ -20,9 +20,12 @@ Two implementations build the same trees node for node:
 
 - the **array path** (:func:`speculate_batch` when numpy is available)
   advances every request's beam one level at a time as numpy arrays,
-  reading draft rows from :func:`repro.model.batchgen.draft_rows`; it
-  creates tree nodes only for survivors and never touches the
-  distribution memos;
+  reading draft rows from :func:`repro.model.batchgen.draft_rows`, and
+  returns the batch as a :class:`~repro.core.tree.CandidateForest`.  It
+  creates no tree node and never touches the distribution memos;
+  selection runs on the forest's arrays and nodes exist only for the
+  selected candidates.  :attr:`SpeculationResult.trees` builds the full
+  trees on first read, for callers that want node objects;
 - the **oracle** (:func:`build_candidate_tree`) expands one request with
   memoized scalar ``DraftLM.distribution`` calls.  Without numpy,
   :func:`speculate_batch` loops over it; ``tests/test_speculation.py``
@@ -32,9 +35,10 @@ Two implementations build the same trees node for node:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
 
-from repro.core.tree import TokenTree, TreeNode
+from repro.core.tree import CandidateForest, TokenTree, TreeNode
 from repro.model import batchgen
 from repro.model.pair import ModelPair
 from repro.model.stochastic_lm import PREFETCH_MIN_BATCH
@@ -78,10 +82,17 @@ def draft_chains(
 class SpeculationResult:
     """Candidate trees for a batch plus the cost-relevant step shape."""
 
-    trees: list[TokenTree]
+    candidates: CandidateForest | list[TokenTree]  # forest on the array path
     depth: int
     width: int
     step_tokens: tuple[int, ...]  # tokens processed by the draft at each step
+
+    @cached_property
+    def trees(self) -> list[TokenTree]:
+        """One candidate tree per request (built on first read from a forest)."""
+        if isinstance(self.candidates, CandidateForest):
+            return self.candidates.build()
+        return self.candidates
 
     @property
     def total_draft_tokens(self) -> int:
@@ -143,7 +154,7 @@ def _speculate_arrays(
     depth: int,
     width: int,
     centers: list[float | None],
-) -> list[TokenTree]:
+) -> CandidateForest:
     """Beam-search every request's tree level-synchronously in numpy.
 
     Every request's frontier has the same size ``f`` at a given level
@@ -153,21 +164,22 @@ def _speculate_arrays(
     no memo), the ``n x (f * m)`` candidate path probabilities in
     ``build_candidate_tree``'s (node, rank) order, then the top ``w``
     per request by a stable sort of the negated values — the tie order
-    of ``list.sort(reverse=True)``.  Nodes are created only for the
-    survivors.
+    of ``list.sort(reverse=True)``.  The survivors of each level become
+    the forest's next block of columns, so columns follow
+    ``build_candidate_tree``'s node creation order.
     """
     np = batchgen._np
-    trees = [TokenTree(tok, ctx) for tok, ctx in roots]
     n = len(roots)
-    if depth == 0 or n == 0:
-        return trees
     m = min(width, pair.target.branching)
     default = pair.target.predictability
     eff = np.array([default if c is None else c for c in centers], dtype=np.float64)
-    ctx = np.array([c for _, c in roots], dtype=np.uint64)[:, None]
+    ctx = np.array([c for _, c in roots], dtype=np.uint64).reshape(n, 1)
     path = np.ones((n, 1), dtype=np.float64)
-    frontiers = [[t.root] for t in trees]
-    for _ in range(depth):
+    parents = [np.full((n, 1), -1, dtype=np.intp)]
+    tokens = [np.array([t for t, _ in roots], dtype=np.uint64).reshape(n, 1)]
+    ctxs, draft_probs, paths = [ctx], [path], [path]
+    start = 0  # column of the frontier's first node
+    for _ in range(depth if n else 0):
         f = ctx.shape[1]
         ids, probs = batchgen.draft_rows(pair.draft, ctx.ravel(), np.repeat(eff, f))
         # Column j * m + r of request i: rank-r continuation of node j.
@@ -176,26 +188,24 @@ def _speculate_arrays(
         parent_col = keep // m
         rank = keep - parent_col * m
         row = parent_col + np.arange(0, n * f, f)[:, None]  # parent's draft row
-        draft_prob = probs[row, rank]
-        in_range = (draft_prob >= 0.0) & (draft_prob <= 1.0)
-        if not in_range.all():
+        flat = row * probs.shape[1] + rank
+        draft_prob = probs.take(flat)
+        if not (draft_prob.min() >= 0.0 and draft_prob.max() <= 1.0):  # NaN fails too
+            in_range = (draft_prob >= 0.0) & (draft_prob <= 1.0)
             raise ValueError(f"draft_prob out of range: {draft_prob[~in_range][0]}")
-        tokens = ids[row, rank]
-        path = path.ravel()[row] * draft_prob
-        ctx = batchgen.extend_rows(ctx.ravel()[row], tokens)
-        frontiers = [
-            tree.add_level([frontier[c] for c in cols], toks, hashes, dps, pps)
-            for tree, frontier, cols, toks, hashes, dps, pps in zip(
-                trees,
-                frontiers,
-                parent_col.tolist(),
-                tokens.tolist(),
-                ctx.tolist(),
-                draft_prob.tolist(),
-                path.tolist(),
-            )
-        ]
-    return trees
+        token = ids.take(flat)
+        path = path.take(row) * draft_prob
+        ctx = batchgen.extend_rows(ctx.take(row), token)
+        parents.append(parent_col + start)
+        tokens.append(token)
+        ctxs.append(ctx)
+        draft_probs.append(draft_prob)
+        paths.append(path)
+        start += f
+    return CandidateForest(
+        *(np.concatenate(a, axis=1) for a in (parents, tokens, ctxs, draft_probs, paths)),
+        depths=[len(paths) - 1] * n,
+    )
 
 
 def speculate_batch(
@@ -218,9 +228,10 @@ def speculate_batch(
 
     Returns
     -------
-    SpeculationResult with one candidate tree per request and the per-step
-    batched token counts: step 1 processes ``len(roots)`` root tokens;
-    each subsequent step processes ``width`` tokens per request.
+    SpeculationResult with the candidates — a forest on the array path,
+    one tree per request on the oracle path — and the per-step batched
+    token counts: step 1 processes ``len(roots)`` root tokens; each
+    subsequent step processes ``width`` tokens per request.
     """
     n = len(roots)
     if centers is None:
@@ -229,10 +240,11 @@ def speculate_batch(
         raise ValueError("centers length must match roots")
     if depth < 0 or width < 1:
         raise ValueError(f"invalid beam shape: depth={depth}, width={width}")
+    candidates: CandidateForest | list[TokenTree]
     if batchgen.AVAILABLE:
-        trees = _speculate_arrays(pair, roots, depth, width, centers)
+        candidates = _speculate_arrays(pair, roots, depth, width, centers)
     else:
-        trees = [
+        candidates = [
             build_candidate_tree(pair, tok, ctx, depth, width, center)
             for (tok, ctx), center in zip(roots, centers)
         ]
@@ -240,4 +252,6 @@ def speculate_batch(
         step_tokens: tuple[int, ...] = ()
     else:
         step_tokens = (n, *(n * width for _ in range(depth - 1)))
-    return SpeculationResult(trees=trees, depth=depth, width=width, step_tokens=step_tokens)
+    return SpeculationResult(
+        candidates=candidates, depth=depth, width=width, step_tokens=step_tokens
+    )

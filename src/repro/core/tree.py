@@ -16,6 +16,12 @@ Trees are built by speculation (:mod:`repro.core.speculation`), pruned by
 selection (:mod:`repro.core.selection`) and walked by verification
 (:func:`repro.model.acceptance.verify_tree`).  ``extract_selected``
 materializes the selected subtree as a standalone tree for verification.
+
+:class:`CandidateForest` is the same data for a whole batch as arrays,
+one row per request.  The array speculation path returns one, selection
+runs on its arrays, and node objects are then built only for the
+selected subtree of each row (:meth:`CandidateForest.build`); unselected
+candidates never become :class:`TreeNode` objects.
 """
 
 from __future__ import annotations
@@ -110,31 +116,6 @@ class TokenTree:
         self._nodes.append(node)
         return node
 
-    def add_level(
-        self,
-        parents: list[TreeNode],
-        token_ids: list[int],
-        ctx_hashes: list[int],
-        draft_probs: list[float],
-        path_probs: list[float],
-    ) -> list[TreeNode]:
-        """Append one beam level in bulk: child ``j`` goes under ``parents[j]``.
-
-        The array speculation path's :meth:`add_child`: the caller has
-        already checked every ``draft_probs`` entry is in [0, 1] and
-        computed ``path_probs[j] = parents[j].path_prob * draft_probs[j]``
-        for the whole batch at once.
-        """
-        level: list[TreeNode] = []
-        for parent, token_id, ctx_hash, draft_prob, path_prob in zip(
-            parents, token_ids, ctx_hashes, draft_probs, path_probs
-        ):
-            node = TreeNode(token_id, ctx_hash, draft_prob, path_prob, parent.depth + 1, parent)
-            parent.children.append(node)
-            level.append(node)
-        self._nodes.extend(level)
-        return level
-
     # -- inspection -------------------------------------------------------
     def nodes(self, include_root: bool = True) -> Iterator[TreeNode]:
         """All nodes in insertion order."""
@@ -212,3 +193,111 @@ class TokenTree:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TokenTree(size={self.size}, depth={self.depth}, selected={self.num_selected()})"
+
+
+class CandidateForest:
+    """The candidate trees of a whole batch as ``(n, N + 1)`` arrays.
+
+    Row ``i`` is request ``i``'s tree.  Column 0 holds every root and
+    columns 1..N the speculated nodes in creation order, so a node's
+    parent column is always smaller than its own (the root's is -1).
+    Fields: ``parent`` (column index), ``token`` and ``ctx`` (uint64),
+    ``draft_prob`` and ``path_prob`` (float64); ``depths`` holds each
+    tree's :attr:`TokenTree.depth`.
+    """
+
+    __slots__ = ("parent", "token", "ctx", "draft_prob", "path_prob", "depths")
+
+    def __init__(self, parent, token, ctx, draft_prob, path_prob, depths: list[int]) -> None:
+        self.parent = parent
+        self.token = token
+        self.ctx = ctx
+        self.draft_prob = draft_prob
+        self.path_prob = path_prob
+        self.depths = depths
+
+    @classmethod
+    def from_trees(cls, trees: list[TokenTree]) -> "CandidateForest":
+        """Pack equally sized trees into a forest (needs numpy)."""
+        import numpy as np
+
+        if len({t.size for t in trees}) > 1:
+            raise ValueError("trees of a forest must have the same number of nodes")
+        parents = []
+        for tree in trees:
+            col = {id(node): j for j, node in enumerate(tree.nodes())}
+            parents.append([col.get(id(node.parent), -1) for node in tree.nodes()])
+
+        def field(name: str, dtype):
+            return np.array(
+                [[getattr(node, name) for node in t.nodes()] for t in trees], dtype=dtype
+            ).reshape(len(trees), -1)
+
+        return cls(
+            np.array(parents, dtype=np.intp).reshape(len(trees), -1),
+            field("token_id", np.uint64),
+            field("ctx_hash", np.uint64),
+            field("draft_prob", np.float64),
+            field("path_prob", np.float64),
+            [t.depth for t in trees],
+        )
+
+    @property
+    def num_trees(self) -> int:
+        """Number of requests (rows)."""
+        return self.parent.shape[0]
+
+    @property
+    def depth(self) -> int:
+        """Deepest node's depth over the whole forest."""
+        return max(self.depths, default=0)
+
+    @property
+    def num_nodes(self) -> int:
+        """Speculated (non-root) nodes per tree, N."""
+        return self.parent.shape[1] - 1
+
+    def build(self, keep=None, selected: bool = False) -> list[TokenTree]:
+        """One :class:`TokenTree` per row, holding its root and the kept nodes.
+
+        ``keep`` is an ``(n, N)`` boolean mask over columns 1..N (all of
+        them when omitted); a kept node's parent must be kept or be the
+        root.  Nodes are created in creation order, so parents come
+        first, and carry ``selected``.
+        """
+        import numpy as np
+
+        n, width = self.parent.shape
+        if keep is None:
+            keep = np.ones((n, width - 1), dtype=bool)
+        # Every node's slot in ``made``: the roots, then kept nodes row-major.
+        slot = np.empty((n, width), dtype=np.intp)
+        slot[:, 0] = np.arange(n)
+        slot[:, 1:] = keep.cumsum().reshape(n, width - 1) + (n - 1)
+        rows, cols = keep.nonzero()
+        cols += 1
+        trees = [
+            TokenTree(tok, ctx)
+            for tok, ctx in zip(self.token[:, 0].tolist(), self.ctx[:, 0].tolist())
+        ]
+        made = [tree.root for tree in trees]
+        append = made.append
+        for p, token_id, ctx_hash, draft_prob, path_prob in zip(
+            slot[rows, self.parent[rows, cols]].tolist(),
+            self.token[rows, cols].tolist(),
+            self.ctx[rows, cols].tolist(),
+            self.draft_prob[rows, cols].tolist(),
+            self.path_prob[rows, cols].tolist(),
+        ):
+            parent = made[p]
+            node = TreeNode(token_id, ctx_hash, draft_prob, path_prob, parent.depth + 1, parent)
+            parent.children.append(node)
+            append(node)
+        if selected:
+            for node in made[n:]:
+                node.selected = True
+        end = n
+        for tree, count in zip(trees, keep.sum(axis=1).tolist()):
+            tree._nodes.extend(made[end : end + count])
+            end += count
+        return trees

@@ -6,7 +6,10 @@ import pytest
 
 from repro.core.selection import select_tokens
 from repro.core.speculation import speculate_batch
-from repro.core.tree import TokenTree
+from repro.core.tree import CandidateForest, TokenTree
+from repro.model import batchgen
+
+needs_numpy = pytest.mark.skipif(not batchgen.AVAILABLE, reason="numpy unavailable; no forest path")
 
 
 def build_manual_tree(spec: dict) -> TokenTree:
@@ -151,3 +154,64 @@ class TestValidity:
     def test_candidates_scanned_counted(self, trees):
         res = select_tokens(trees, [2.0] * 4, budget=24)
         assert res.candidates_scanned == sum(t.num_selected() for t in trees)
+
+    def test_candidates_scanned_counts_empty_pop_on_exhaustion(self):
+        # A tree that runs out while its SLO loop still wants tokens costs
+        # one extra, empty frontier pop.
+        tree = build_manual_tree({1: (0.5, {})})
+        res = select_tokens([tree], [100.0], budget=10)
+        assert res.selections[0].slo_tokens == 1
+        assert res.candidates_scanned == 2
+
+
+def qpxyz_tree() -> TokenTree:
+    """Root children Q=1.0, P=0.25; X=Q*0.5, Y=P*1.0; Z=X*0.5 — in that order.
+
+    Y and Z tie with P at 0.25.  The heap pops P (exposed at the start)
+    before Z (exposed when X pops) before Y (exposed when P pops), but
+    creation order would put Y before Z.
+    """
+    tree = TokenTree(0, 1000)
+    q = tree.add_child(tree.root, 1, 11, 1.0)
+    p = tree.add_child(tree.root, 2, 12, 0.25)
+    x = tree.add_child(q, 3, 13, 0.5)
+    tree.add_child(p, 4, 14, 1.0)
+    tree.add_child(x, 5, 15, 0.5)
+    return tree
+
+
+class TestExposureOrderTies:
+    """Equal path probabilities pop in exposure order, not creation order."""
+
+    def test_oracle_selects_q_x_p_z(self):
+        tree = qpxyz_tree()
+        select_tokens([tree], [0.0], budget=1 + 4)
+        assert {n.token_id for n in tree.nodes(include_root=False) if n.selected} == {1, 3, 2, 5}
+
+    @needs_numpy
+    def test_forest_selects_q_x_p_z(self):
+        forest = CandidateForest.from_trees([qpxyz_tree()])
+        res = select_tokens(forest, [0.0], budget=1 + 4)
+        draft = res.selections[0].tree
+        assert [n.token_id for n in draft.nodes(include_root=False)] == [1, 2, 3, 5]
+        assert all(n.selected for n in draft.nodes(include_root=False))
+
+    @needs_numpy
+    def test_equal_trees_take_turns_in_phase_two(self):
+        # Three equal heads per tree and three budget tokens: the global
+        # heap alternates trees (2 + 1); a sort by tree would give 3 + 0.
+        def flat():
+            return build_manual_tree({1: (0.3, {}), 2: (0.3, {}), 3: (0.3, {})})
+
+        oracle = select_tokens([flat(), flat()], [0.0, 0.0], budget=2 + 3)
+        forest = select_tokens(CandidateForest.from_trees([flat(), flat()]), [0.0, 0.0], budget=2 + 3)
+        for res in (oracle, forest):
+            assert [s.throughput_tokens for s in res.selections] == [2, 1]
+            assert res.candidates_scanned == 3
+
+    @needs_numpy
+    def test_forest_counts_empty_pop_on_exhaustion(self):
+        forest = CandidateForest.from_trees([build_manual_tree({1: (0.5, {})})])
+        res = select_tokens(forest, [100.0], budget=10)
+        assert res.selections[0].slo_tokens == 1
+        assert res.candidates_scanned == 2
